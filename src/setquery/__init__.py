@@ -6,114 +6,16 @@ O(k/eps * log(n/delta)) samples, with squared l2 error on S bounded by the
 spectral mass outside S (scaled by eps) plus a delta-controlled leakage term,
 with probability at least 9/10.  The supporting pieces -- an access-counted
 signal oracle, a pseudorandom spectrum permutation, flat-window filters, and
-the bucketed estimation loop -- are exposed directly, along with Monte Carlo
-verification of every probabilistic claim the construction relies on.
+the bucketed estimation loop -- live in the submodules (``setquery.core``,
+``setquery.permutation``, ``setquery.filters``, ``setquery.bins``,
+``setquery.query``), along with Monte Carlo verification of every
+probabilistic claim the construction relies on (``setquery.verification``)
+and the experiment harness (``setquery.harness``).
 """
 
-from .core import (
-    Signal,
-    SparseSpectrum,
-    dft_oracle,
-    fft,
-    inverse_dft_oracle,
-    inverse_fft,
-    is_power_of_two,
-    restrict,
-    tail_norm,
-)
-from .permutation import (
-    PermutationParams,
-    bucket_index,
-    bucket_offset,
-    permute_time,
-    permute_time_many,
-    permuted_frequency,
-    random_params,
-)
-from .filters import (
-    FilterBuildError,
-    FilterCache,
-    FilterPair,
-    build_filter,
-    load_filter,
-    save_filter,
-)
-from .bins import hash_to_bins
-from .query import (
-    QueryReport,
-    Schedule,
-    ScheduleRow,
-    compute_schedule,
-    estimate_values,
-    set_query,
-)
-from .verification import (
-    EventStats,
-    check_complex_expectation,
-    check_omega_sum,
-    check_pairwise_expectation,
-    event_rate,
-    is_collision,
-    is_large_noise,
-    is_large_offset,
-    well_isolated_rate,
-)
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    TrialRecord,
-    build_query_set,
-    generate_signal,
-    run_experiment,
-    run_verification_suite,
-)
+from .core import Signal, SparseSpectrum, inverse_fft
+from .query import set_query
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Signal",
-    "SparseSpectrum",
-    "dft_oracle",
-    "inverse_dft_oracle",
-    "fft",
-    "inverse_fft",
-    "tail_norm",
-    "restrict",
-    "is_power_of_two",
-    "PermutationParams",
-    "random_params",
-    "permuted_frequency",
-    "bucket_index",
-    "bucket_offset",
-    "permute_time",
-    "permute_time_many",
-    "FilterPair",
-    "FilterCache",
-    "FilterBuildError",
-    "build_filter",
-    "save_filter",
-    "load_filter",
-    "hash_to_bins",
-    "Schedule",
-    "ScheduleRow",
-    "compute_schedule",
-    "estimate_values",
-    "set_query",
-    "QueryReport",
-    "EventStats",
-    "is_collision",
-    "is_large_offset",
-    "is_large_noise",
-    "event_rate",
-    "well_isolated_rate",
-    "check_pairwise_expectation",
-    "check_complex_expectation",
-    "check_omega_sum",
-    "ExperimentConfig",
-    "TrialRecord",
-    "ExperimentResult",
-    "generate_signal",
-    "build_query_set",
-    "run_experiment",
-    "run_verification_suite",
-]
+__all__ = ["Signal", "SparseSpectrum", "inverse_fft", "set_query"]

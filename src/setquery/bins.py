@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Signal, SparseSpectrum, fft_raw
 from .filters import FilterPair
-from .permutation import PermutationParams, permute_time_many
+from .permutation import PermutationParams, nearest_bucket, permute_time_many
 
 __all__ = ["hash_to_bins"]
 
@@ -64,7 +64,7 @@ def hash_to_bins(
         coeffs = np.array([z.get(int(s)) for s in support], dtype=np.complex128)
         w = n // B
         pf = (p.sigma * (support - p.b)) % n
-        h_raw = (2 * pf + w) // (2 * w)
+        h_raw = nearest_bucket(pf, w)
         offs = pf - h_raw * w
         sa = (p.sigma * p.a) % n
         phase = np.exp((-2j * np.pi / n) * ((sa * support) % n))

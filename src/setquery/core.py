@@ -189,52 +189,26 @@ def inverse_dft_oracle(spectrum) -> np.ndarray:
     return np.conj(dft_oracle(np.conj(v)))
 
 
-def _bit_reversal(n: int) -> np.ndarray:
-    levels = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
 def fft_raw(x, inverse: bool = False) -> np.ndarray:
-    """Iterative radix-2 transform without normalization.
+    """Unnormalized transform via ``numpy.fft``.
 
     Forward computes ``X[f] = sum_j x[j] * exp(-2j*pi*f*j/n)``; ``inverse``
     flips the exponent sign (still unnormalized).  Rejects lengths that are
     not powers of two.
     """
-    out = np.array(x, dtype=np.complex128)
-    n = out.shape[0]
-    _require_power_of_two(n)
-    if n == 1:
-        return out
-    out = out[_bit_reversal(n)]
-    sign = 1.0 if inverse else -1.0
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / size)
-        out = out.reshape(-1, size)
-        odd = out[:, half:] * tw
-        even = out[:, :half].copy()
-        out[:, :half] = even + odd
-        out[:, half:] = even - odd
-        out = out.reshape(-1)
-        size *= 2
-    return out
+    v = np.asarray(x, dtype=np.complex128)
+    _require_power_of_two(v.shape[0])
+    return np.fft.ifft(v, norm="forward") if inverse else np.fft.fft(v)
 
 
 def fft(x) -> np.ndarray:
-    """Unitary radix-2 FFT; agrees with :func:`dft_oracle` to ~1e-12."""
+    """Unitary FFT; agrees with :func:`dft_oracle` to ~1e-12."""
     v = _as_vector(x)
     return fft_raw(v, inverse=False) / np.sqrt(v.shape[0])
 
 
 def inverse_fft(spectrum) -> np.ndarray:
-    """Unitary radix-2 inverse FFT."""
+    """Unitary inverse FFT."""
     v = np.asarray(spectrum, dtype=np.complex128)
     return fft_raw(v, inverse=True) / np.sqrt(v.shape[0])
 

@@ -10,9 +10,10 @@ unitary FFT of that target (a periodic-sinc times a Gaussian), truncated to
 the smallest symmetric support whose discarded l1 mass keeps the worst-case
 frequency deviation under ``delta/2``.  Total worst-case deviation between
 the built window's spectrum and the idealized clamped response is therefore
-under ``delta``, and is re-measured numerically before a filter is ever
-returned: a window failing any declared property raises instead of leaking
-out.
+under ``delta``, and is re-measured exactly, at every one of the n
+frequencies, by an n-point FFT before a filter is ever returned: a window
+failing any declared property raises instead of leaking out.  Built and
+loaded filters go through the same construction and check.
 
 The idealized response ``response(i)`` is exactly 1 on the flat region,
 exactly 0 at and beyond ``n/(2B)``, and the clamped smoothed-box value in the
@@ -26,12 +27,12 @@ from __future__ import annotations
 
 import io
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import erfc, erfcinv
 
-from .core import dft_oracle, fft_raw, is_power_of_two
+from .core import fft_raw, is_power_of_two
 
 __all__ = [
     "FilterPair",
@@ -55,13 +56,51 @@ class FilterBuildError(RuntimeError):
         self.achieved_leakage = achieved_leakage
 
 
+def _signed_offset(i, n: int):
+    """Representative of ``i mod n`` in ``[-n/2, n/2)``."""
+    return ((i + n // 2) % n) - n // 2
+
+
+def _smoothed_box(d, box_radius: float, sigma_f: float):
+    """Box of radius ``box_radius`` convolved with a Gaussian, at distance ``d``."""
+    scale = np.sqrt(2.0) * sigma_f
+    return 0.5 * (erfc((d - box_radius) / scale) - erfc((d + box_radius) / scale))
+
+
+def _shape(n: int, buckets: int, delta: float, alpha: float) -> tuple[float, float]:
+    """(box_radius, sigma_f) of the smoothed box for (n, B, delta, alpha)."""
+    w = n / buckets
+    # Q(z) = delta/4 puts the smoothed box within delta/4 of its clamps at
+    # the flat and stop edges, each alpha*w/4 away from the box edge.
+    z = float(np.sqrt(2.0) * erfcinv(delta / 2.0))
+    return (1.0 - alpha / 2.0) * w / 2.0, (alpha * w / 4.0) / z
+
+
+def _check_params(n, buckets, delta, alpha) -> tuple[int, int]:
+    """Validate (n, B, delta, alpha) and return n and B as ints."""
+    if not (float(n).is_integer() and float(buckets).is_integer()):
+        raise ValueError(f"n and bucket count must be integers, got {n}, {buckets}")
+    n, B = int(n), int(buckets)
+    if not is_power_of_two(n):
+        raise ValueError(f"n must be a power of two, got {n}")
+    if B < 2:
+        raise ValueError(f"bucket count must be >= 2, got {buckets}")
+    if n % B != 0:
+        raise ValueError(f"bucket count {B} must divide n={n}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return n, B
+
+
 @dataclass(frozen=True)
 class FilterPair:
     """Time-sparse window plus its evaluable idealized frequency response.
 
     ``offsets`` are signed time indices (symmetric around 0) and ``taps`` the
     real window values there; the window is zero elsewhere.  ``leakage`` is
-    the measured ``max_i |DFT(G)_i - response(i)|``.
+    the measured ``max_i |DFT(G)_i - response(i)|`` over all n frequencies.
     """
 
     n: int
@@ -73,11 +112,17 @@ class FilterPair:
     box_radius: float
     sigma_f: float
     leakage: float
-    support_constant: float
 
     @property
     def support_size(self) -> int:
         return int(self.offsets.shape[0])
+
+    @property
+    def support_constant(self) -> float:
+        """Achieved c_f in ``support = c_f * B * log(n/delta) / alpha``."""
+        return float(
+            self.support_size * self.alpha / (self.buckets * np.log(self.n / self.delta))
+        )
 
     @property
     def flat_radius(self) -> float:
@@ -93,29 +138,60 @@ class FilterPair:
         Piecewise: 1 on the flat region, 0 at and beyond the bucket edge,
         clamped smoothed-box value in between.
         """
-        idx = np.asarray(i)
-        d = np.abs(((idx + self.n // 2) % self.n) - self.n // 2).astype(np.float64)
-        scale = np.sqrt(2.0) * self.sigma_f
-        smooth = 0.5 * (
-            erfc((d - self.box_radius) / scale) - erfc((d + self.box_radius) / scale)
-        )
-        out = np.clip(smooth, 0.0, 1.0)
+        d = np.abs(_signed_offset(np.asarray(i), self.n)).astype(np.float64)
+        out = np.clip(_smoothed_box(d, self.box_radius, self.sigma_f), 0.0, 1.0)
         out = np.where(d <= self.flat_radius, 1.0, out)
         out = np.where(d >= self.stop_radius, 0.0, out)
         return float(out) if out.ndim == 0 else out
 
     def window_dense(self) -> np.ndarray:
-        """Dense length-n copy of the window (verification use)."""
-        g = np.zeros(self.n, dtype=np.float64)
-        g[self.offsets % self.n] = self.taps
-        return g
+        """Dense length-n copy of the window (verification use).
+
+        Taps at offsets equal mod n add up, as they do in the bucketing.
+        """
+        return np.bincount(self.offsets % self.n, weights=self.taps, minlength=self.n)
 
 
-def _smoothed_box(n: int, box_radius: float, sigma_f: float) -> np.ndarray:
-    freqs = np.arange(n, dtype=np.int64)
-    d = np.abs(((freqs + n // 2) % n) - n // 2).astype(np.float64)
-    scale = np.sqrt(2.0) * sigma_f
-    return 0.5 * (erfc((d - box_radius) / scale) - erfc((d + box_radius) / scale))
+def _verified_filter(n, buckets, delta, alpha, offsets, taps, source: str) -> FilterPair:
+    """Assemble a filter and check it at all n frequencies before returning it.
+
+    Raises :class:`FilterBuildError` if the idealized response breaks its box
+    properties or the window's unitary spectrum deviates from it by more than
+    ``delta`` anywhere.  ``source`` names the window in the error message.
+    """
+    box_radius, sigma_f = _shape(n, buckets, delta, alpha)
+    fp = FilterPair(
+        n=n,
+        buckets=buckets,
+        delta=float(delta),
+        alpha=float(alpha),
+        offsets=offsets,
+        taps=taps,
+        box_radius=box_radius,
+        sigma_f=sigma_f,
+        leakage=float("nan"),
+    )
+    params = f"(n={n}, B={buckets}, delta={delta}, alpha={alpha})"
+    i = np.arange(n)
+    d = np.abs(_signed_offset(i, n))
+    ideal = fp.response(i)
+    if (
+        np.any(ideal < 0.0)
+        or np.any(ideal > 1.0)
+        or np.any(ideal[d <= fp.flat_radius] != 1.0)
+        or np.any(ideal[d >= fp.stop_radius] != 0.0)
+    ):
+        raise FilterBuildError(
+            f"idealized response violates its box properties for {params}"
+        )
+    spectrum = fft_raw(fp.window_dense()) / np.sqrt(n)
+    leakage = float(np.max(np.abs(spectrum - ideal)))
+    if leakage > delta:
+        raise FilterBuildError(
+            f"{source} leaks {leakage:.3e} > delta={delta} for {params}",
+            achieved_leakage=leakage,
+        )
+    return replace(fp, leakage=leakage)
 
 
 def build_filter(
@@ -131,30 +207,12 @@ def build_filter(
     budget ``support_budget_const * B * log(n/delta) / alpha`` or if the
     measured leakage ends up above ``delta``.
     """
-    if not is_power_of_two(n):
-        raise ValueError(f"n must be a power of two, got {n}")
-    B = int(buckets)
-    if B < 2:
-        raise ValueError(f"bucket count must be >= 2, got {buckets}")
-    if n % B != 0:
-        raise ValueError(f"bucket count {B} must divide n={n}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-
-    w = n / B
-    box_radius = (1.0 - alpha / 2.0) * w / 2.0
-    # Q(z) = delta/4 puts the smoothed box within delta/4 of its clamps at
-    # the flat and stop edges, each alpha*w/4 away from the box edge.
-    z = float(np.sqrt(2.0) * erfcinv(delta / 2.0))
-    sigma_f = (alpha * w / 4.0) / z
-
-    target = _smoothed_box(n, box_radius, sigma_f)
+    n, B = _check_params(n, buckets, delta, alpha)
+    signed = _signed_offset(np.arange(n), n)
+    radius = np.abs(signed)
+    target = _smoothed_box(radius.astype(np.float64), *_shape(n, B, delta, alpha))
     g_full = fft_raw(target, inverse=True).real / np.sqrt(n)
 
-    signed = ((np.arange(n) + n // 2) % n) - n // 2
-    radius = np.abs(signed)
     order = np.argsort(radius, kind="stable")
     # l1 mass strictly outside each candidate radius bounds the truncation's
     # worst-case frequency deviation after the 1/sqrt(n) unitary scale.  The
@@ -180,94 +238,12 @@ def build_filter(
 
     keep = order[:needed]
     keep = keep[np.argsort(signed[keep])]
-    offsets = signed[keep].astype(np.int64)
-    taps = g_full[keep].astype(np.float64)
-
-    support_constant = needed * alpha / (B * np.log(n / delta))
-    fp = FilterPair(
-        n=n,
-        buckets=B,
-        delta=float(delta),
-        alpha=float(alpha),
-        offsets=offsets,
-        taps=taps,
-        box_radius=box_radius,
-        sigma_f=sigma_f,
-        leakage=float("nan"),
-        support_constant=float(support_constant),
+    return _verified_filter(
+        n, B, delta, alpha,
+        offsets=signed[keep].astype(np.int64),
+        taps=g_full[keep].astype(np.float64),
+        source="constructed window",
     )
-    leakage = _measure_leakage(fp)
-    if leakage > delta:
-        raise FilterBuildError(
-            f"constructed window leaks {leakage:.3e} > delta={delta} for "
-            f"(n={n}, B={B}, delta={delta}, alpha={alpha})",
-            achieved_leakage=leakage,
-        )
-    fp = FilterPair(
-        n=n,
-        buckets=B,
-        delta=float(delta),
-        alpha=float(alpha),
-        offsets=offsets,
-        taps=taps,
-        box_radius=box_radius,
-        sigma_f=sigma_f,
-        leakage=float(leakage),
-        support_constant=float(support_constant),
-    )
-    _verify_response(fp)
-    return fp
-
-
-# Dense verification above this size would cost O(n^2); spot-check instead.
-_DENSE_VERIFY_LIMIT = 4096
-
-
-def _measure_leakage(fp: FilterPair) -> float:
-    """max |DFT(G) - response| : dense via the DFT oracle for small n,
-    spot-evaluated by direct sparse sums at larger n."""
-    if fp.n <= _DENSE_VERIFY_LIMIT:
-        spectrum = dft_oracle(fp.window_dense())
-        ideal = fp.response(np.arange(fp.n))
-        return float(np.max(np.abs(spectrum - ideal)))
-    rng = np.random.default_rng(0xF11 + fp.n + fp.buckets)
-    w = fp.n // fp.buckets
-    probes = np.concatenate(
-        [
-            np.arange(-w, w + 1),
-            rng.integers(0, fp.n, size=512),
-            (rng.integers(0, fp.buckets, size=128) * w),
-        ]
-    ) % fp.n
-    probes = np.unique(probes)
-    phases = np.exp(
-        (-2j * np.pi / fp.n) * (probes[:, None] * (fp.offsets[None, :] % fp.n))
-    )
-    spectrum = phases @ fp.taps / np.sqrt(fp.n)
-    ideal = fp.response(probes)
-    return float(np.max(np.abs(spectrum - ideal)))
-
-
-def _verify_response(fp: FilterPair) -> None:
-    """Assert the declared response properties on a dense or sampled grid."""
-    if fp.n <= _DENSE_VERIFY_LIMIT:
-        i = np.arange(fp.n)
-    else:
-        rng = np.random.default_rng(0x1DEA + fp.n)
-        i = np.unique(rng.integers(0, fp.n, size=4096))
-    d = np.abs(((i + fp.n // 2) % fp.n) - fp.n // 2)
-    vals = fp.response(i)
-    bad = (
-        np.any(vals < 0.0)
-        or np.any(vals > 1.0)
-        or np.any(vals[d <= fp.flat_radius] != 1.0)
-        or np.any(vals[d >= fp.stop_radius] != 0.0)
-    )
-    if bad:
-        raise FilterBuildError(
-            f"idealized response violates its box properties for "
-            f"(n={fp.n}, B={fp.buckets}, delta={fp.delta}, alpha={fp.alpha})"
-        )
 
 
 _MAGIC = b"SQFL"
@@ -300,43 +276,15 @@ def load_filter(path) -> FilterPair:
     values = np.frombuffer(raw, dtype="<f8", offset=4)
     if values.shape[0] < 4 or (values.shape[0] - 4) % 2 != 0:
         raise ValueError(f"{path} is truncated")
-    n, B, delta, alpha = values[:4]
-    n, B = int(n), int(B)
+    n, B, delta, alpha = (float(v) for v in values[:4])
+    n, B = _check_params(n, B, delta, alpha)
     pairs = values[4:].reshape(-1, 2)
-    w = n / B
-    z = float(np.sqrt(2.0) * erfcinv(delta / 2.0))
-    fp = FilterPair(
-        n=n,
-        buckets=B,
-        delta=float(delta),
-        alpha=float(alpha),
+    return _verified_filter(
+        n, B, delta, alpha,
         offsets=pairs[:, 0].astype(np.int64),
         taps=pairs[:, 1].copy(),
-        box_radius=(1.0 - alpha / 2.0) * w / 2.0,
-        sigma_f=(alpha * w / 4.0) / z,
-        leakage=float("nan"),
-        support_constant=pairs.shape[0] * alpha / (B * np.log(n / delta)),
+        source=f"cached filter at {path}",
     )
-    leakage = _measure_leakage(fp)
-    if leakage > fp.delta:
-        raise FilterBuildError(
-            f"cached filter at {path} leaks {leakage:.3e} > delta={fp.delta}",
-            achieved_leakage=leakage,
-        )
-    fp = FilterPair(
-        n=fp.n,
-        buckets=fp.buckets,
-        delta=fp.delta,
-        alpha=fp.alpha,
-        offsets=fp.offsets,
-        taps=fp.taps,
-        box_radius=fp.box_radius,
-        sigma_f=fp.sigma_f,
-        leakage=leakage,
-        support_constant=fp.support_constant,
-    )
-    _verify_response(fp)
-    return fp
 
 
 class FilterCache:
@@ -348,10 +296,9 @@ class FilterCache:
 
     def get(self, n: int, buckets: int, delta: float, alpha: float) -> FilterPair:
         key = (int(n), int(buckets), float(delta), float(alpha))
+        # Building under the lock makes concurrent misses on a key build once.
         with self._lock:
             fp = self._filters.get(key)
-        if fp is None:
-            fp = build_filter(n, buckets, delta, alpha)
-            with self._lock:
-                self._filters.setdefault(key, fp)
+            if fp is None:
+                fp = self._filters[key] = build_filter(n, buckets, delta, alpha)
         return fp

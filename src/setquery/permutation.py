@@ -34,6 +34,7 @@ __all__ = [
     "PermutationParams",
     "random_params",
     "permuted_frequency",
+    "nearest_bucket",
     "bucket_index",
     "bucket_offset",
     "permute_time",
@@ -85,12 +86,17 @@ def _check_buckets(p: PermutationParams, buckets: int) -> int:
     return b
 
 
+def nearest_bucket(pf, w: int):
+    """Half-up rounding of ``pf / w`` to an integer, not yet folded mod B."""
+    return (2 * pf + w) // (2 * w)
+
+
 def bucket_index(p: PermutationParams, buckets: int, i):
     """Half-up rounding of pi(i)*B/n, folded mod B into [0, B)."""
     B = _check_buckets(p, buckets)
     w = p.n // B
     pf = np.asarray(permuted_frequency(p, i), dtype=np.int64)
-    h = ((2 * pf + w) // (2 * w)) % B
+    h = nearest_bucket(pf, w) % B
     return int(h) if h.ndim == 0 else h
 
 
@@ -99,7 +105,7 @@ def bucket_offset(p: PermutationParams, buckets: int, i):
     B = _check_buckets(p, buckets)
     w = p.n // B
     pf = np.asarray(permuted_frequency(p, i), dtype=np.int64)
-    o = pf - ((2 * pf + w) // (2 * w)) * w
+    o = pf - nearest_bucket(pf, w) * w
     return int(o) if o.ndim == 0 else o
 
 

@@ -148,9 +148,6 @@ def estimate_values(
     x: Signal,
     z: SparseSpectrum | None,
     query_set,
-    buckets: int,
-    delta: float,
-    alpha: float,
     fp: FilterPair,
     rng: np.random.Generator,
 ) -> tuple[SparseSpectrum, np.ndarray, PermutationParams, np.ndarray]:
@@ -167,17 +164,15 @@ def estimate_values(
         raise ValueError("query set must be nonempty")
     if S[0] < 0 or S[-1] >= x.n:
         raise IndexError("query frequency out of range")
-    if fp.buckets != buckets:
-        raise ValueError(f"filter built for B={fp.buckets}, round wants B={buckets}")
 
     p = random_params(rng, x.n)
     u_hat = hash_to_bins(x, z, p, fp)
 
-    h = bucket_index(p, buckets, S)
-    o = bucket_offset(p, buckets, S)
-    counts = np.bincount(h, minlength=buckets)
+    h = bucket_index(p, fp.buckets, S)
+    o = bucket_offset(p, fp.buckets, S)
+    counts = np.bincount(h, minlength=fp.buckets)
     alone = counts[h] == 1
-    small_offset = np.abs(o) < (1.0 - alpha) * x.n / (2.0 * buckets)
+    small_offset = np.abs(o) < fp.flat_radius
     resolved = S[alone & small_offset]
 
     sa = (p.sigma * p.a) % x.n
@@ -264,10 +259,8 @@ def set_query(
         if active.size == 0:
             break
         fp = filters.get(x.n, row.buckets, delta, row.alpha)
-        w_hat, resolved, p, u_hat = estimate_values(
-            x, z, active, row.buckets, delta, row.alpha, fp, rng
-        )
-        zeta = _large_offset_count(z, p, row.buckets, row.alpha)
+        w_hat, resolved, p, u_hat = estimate_values(x, z, active, fp, rng)
+        zeta = _large_offset_count(z, p, fp)
         z = z.plus(w_hat)
         active = np.setdiff1d(active, resolved, assume_unique=True)
         stats.append(
@@ -298,12 +291,10 @@ def set_query(
     )
 
 
-def _large_offset_count(
-    z: SparseSpectrum, p: PermutationParams, buckets: int, alpha: float
-) -> int:
+def _large_offset_count(z: SparseSpectrum, p: PermutationParams, fp: FilterPair) -> int:
     """Count of zhat support coordinates hit by a large offset this round."""
     support = z.support
     if support.size == 0:
         return 0
-    offs = bucket_offset(p, buckets, support)
-    return int(np.sum(np.abs(offs) >= (1.0 - alpha) * p.n / (2.0 * buckets)))
+    offs = bucket_offset(p, fp.buckets, support)
+    return int(np.sum(np.abs(offs) >= fp.flat_radius))

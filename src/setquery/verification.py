@@ -46,6 +46,7 @@ from .permutation import (
     PermutationParams,
     bucket_index,
     bucket_offset,
+    nearest_bucket,
     random_params,
 )
 
@@ -163,7 +164,7 @@ def event_rate(
 
     if event == "collision":
         pf = (sigma[:, None] * (S[None, :] - b[:, None])) % n
-        h = ((2 * pf + w) // (2 * w)) % buckets
+        h = nearest_bucket(pf, w) % buckets
         ht = h[:, S == int(t)]
         others = h[:, S != int(t)]
         hits = int(np.sum(np.any(others == ht, axis=1)))
@@ -172,7 +173,7 @@ def event_rate(
         if alpha is None:
             raise ValueError("offset event needs alpha")
         pf = (sigma * (int(t) - b)) % n
-        o = pf - ((2 * pf + w) // (2 * w)) * w
+        o = pf - nearest_bucket(pf, w) * w
         hits = int(np.sum(np.abs(o) >= (1.0 - alpha) * n / (2.0 * buckets)))
         bound = float(alpha)
     elif event == "noise":
@@ -195,7 +196,7 @@ def event_rate(
             sg = sigma[lo : lo + batch, None]
             bb = b[lo : lo + batch, None]
             pf = (sg * (i[None, :] - bb)) % n
-            h = ((2 * pf + w) // (2 * w)) % buckets
+            h = nearest_bucket(pf, w) % buckets
             ht = np.take_along_axis(h, np.full((sg.shape[0], 1), int(t)), axis=1)
             bucket_energy = np.sum(np.where(h == ht, energy_off_S[None, :], 0.0), axis=1)
             if threshold == 0.0:

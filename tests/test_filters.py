@@ -1,9 +1,16 @@
+import sys
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from setquery import filters
 from setquery.core import dft_oracle
 from setquery.filters import (
     FilterBuildError,
+    FilterCache,
     build_filter,
     load_filter,
     save_filter,
@@ -73,6 +80,7 @@ class TestMeasuredSpectrum:
         (1024, 32, 1e-3, 0.25),
         (1024, 64, 1e-2, 0.125),
         (256, 32, 1e-2, 0.25),
+        (8192, 64, 1e-3, 0.25),
     ])
     def test_leakage_against_oracle(self, n, B, delta, alpha, filter_cache):
         fp = filter_cache.get(n, B, delta, alpha)
@@ -80,6 +88,19 @@ class TestMeasuredSpectrum:
         dev = np.max(np.abs(spectrum - fp.response(np.arange(n))))
         assert dev <= delta
         assert fp.leakage <= delta
+        assert abs(fp.leakage - dev) <= 1e-12  # the full-spectrum maximum
+
+    def test_large_build_memory_is_linear_in_n(self):
+        # a round-2 filter at n=2**20 (gamma=1/4, const_c=1, alpha_const=2)
+        n = 1 << 20
+        tracemalloc.start()
+        try:
+            fp = build_filter(n, 2048, 1e-2, 1 / 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fp.leakage <= fp.delta
+        assert peak <= 256 * n
 
     def test_support_within_budget(self, filter_cache):
         fp = filter_cache.get(1024, 32, 1e-3, 0.25)
@@ -125,3 +146,65 @@ class TestCacheFile:
         path.write_bytes(b"nope")
         with pytest.raises(ValueError):
             load_filter(path)
+
+    def test_rejects_duplicated_offset(self, tmp_path, filter_cache):
+        # a second tap at offset 0 leaves a last-write-wins dense copy
+        # unchanged but doubles the tap the bucketing applies
+        fp = filter_cache.get(256, 32, 1e-2, 0.25)
+        path = tmp_path / "dup.fil"
+        save_filter(fp, path)
+        tap0 = fp.taps[fp.offsets == 0][0]
+        path.write_bytes(path.read_bytes() + np.array([0.0, tap0], dtype="<f8").tobytes())
+        with pytest.raises(FilterBuildError):
+            load_filter(path)
+
+    @pytest.mark.parametrize("header", [
+        [1000.0, 8.0, 1e-2, 0.25],  # n not a power of two
+        [1024.5, 32.0, 1e-2, 0.25],  # n not integral
+        [256.0, 32.5, 1e-2, 0.25],  # B not integral
+        [256.0, 1.0, 1e-2, 0.25],  # B below 2
+        [256.0, 24.0, 1e-2, 0.25],  # B does not divide n
+        [256.0, 32.0, 0.0, 0.25],  # delta outside (0, 1)
+        [256.0, 32.0, float("nan"), 0.25],
+        [256.0, 32.0, 1e-2, 1.0],  # alpha outside (0, 1)
+    ])
+    def test_rejects_bad_header(self, tmp_path, header):
+        path = tmp_path / "bad.fil"
+        body = np.array(header + [0.0, 1.0], dtype="<f8")
+        path.write_bytes(b"SQFL" + body.tobytes())
+        with pytest.raises(ValueError):
+            load_filter(path)
+
+
+class TestFilterCache:
+    def test_concurrent_misses_build_once(self, monkeypatch):
+        calls = []
+        real_build = filters.build_filter
+
+        def counting_build(*args):
+            calls.append(args)
+            time.sleep(0.05)  # hold the miss open while the others arrive
+            return real_build(*args)
+
+        monkeypatch.setattr(filters, "build_filter", counting_build)
+        cache = FilterCache()
+        barrier = threading.Barrier(4)
+        results = []
+
+        def worker():
+            barrier.wait(timeout=10)
+            results.append(cache.get(256, 32, 1e-2, 0.25))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1
+        assert len(results) == 4 and all(r is results[0] for r in results)

@@ -177,6 +177,12 @@ class TestCli:
         info = json.loads(out.read_text())
         assert info["n"] == 256 and info["buckets"] == 32
 
+    def test_filter_info_bad_cache_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.fil"
+        header = np.array([1000.0, 8.0, 1e-2, 0.25], dtype="<f8")  # n not a power of two
+        bad.write_bytes(b"SQFL" + header.tobytes())
+        assert main(["filter-info", "--load", str(bad)]) == 2
+
     def test_bench_grid_csv(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main([

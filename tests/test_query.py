@@ -65,9 +65,7 @@ class TestEstimateValues:
         n, B = 1024, 32
         fp = filter_cache.get(n, B, 1e-3, 0.25)
         x = Signal(np.zeros(n))
-        w, resolved, p, _ = estimate_values(
-            x, None, [0, 1], B, 1e-3, 0.25, fp, FixedRng([0, 0, 0])
-        )
+        w, resolved, p, _ = estimate_values(x, None, [0, 1], fp, FixedRng([0, 0, 0]))
         assert p.sigma == 1 and p.a == 0 and p.b == 0
         assert resolved.size == 0
         assert len(w) == 0
@@ -75,9 +73,8 @@ class TestEstimateValues:
     def test_zero_signal_gives_zero_values(self, rng, filter_cache):
         n, B = 256, 32
         fp = filter_cache.get(n, B, 1e-3, 0.25)
-        w, resolved, _, _ = estimate_values(
-            Signal(np.zeros(n)), None, [3, 97, 200], B, 1e-3, 0.25, fp, rng
-        )
+        x = Signal(np.zeros(n))
+        w, resolved, _, _ = estimate_values(x, None, [3, 97, 200], fp, rng)
         assert all(w.get(int(t)) == 0 for t in resolved)
 
     def test_singleton_estimate_accurate_when_resolved(self, rng, filter_cache):
@@ -90,9 +87,7 @@ class TestEstimateValues:
         hits = 0
         for _ in range(20):
             x = Signal(sig_values)
-            w, resolved, _, _ = estimate_values(
-                x, None, [f], B, delta, 0.25, fp, rng
-            )
+            w, resolved, _, _ = estimate_values(x, None, [f], fp, rng)
             if resolved.size:  # isolated by definition; offset must be small
                 hits += 1
                 assert abs(w.get(f) - xhat[f]) <= delta * np.sum(np.abs(xhat)) + 1e-6
@@ -103,14 +98,14 @@ class TestEstimateValues:
         fp = filter_cache.get(n, B, 1e-3, 0.25)
         x = Signal(complex_vector(rng, n))
         S = rng.choice(n, size=6, replace=False)
-        w, resolved, _, _ = estimate_values(x, None, S, B, 1e-3, 0.25, fp, rng)
+        w, resolved, _, _ = estimate_values(x, None, S, fp, rng)
         assert set(i for i, _ in w.items()) == set(resolved.tolist())
         assert set(resolved.tolist()) <= set(int(s) for s in S)
 
     def test_rejects_empty_set(self, rng, filter_cache):
         fp = filter_cache.get(256, 32, 1e-3, 0.25)
         with pytest.raises(ValueError):
-            estimate_values(Signal(np.zeros(256)), None, [], 32, 1e-3, 0.25, fp, rng)
+            estimate_values(Signal(np.zeros(256)), None, [], fp, rng)
 
 
 class TestSetQuery:
@@ -212,9 +207,7 @@ class TestIterationStatistics:
         sig_values = inverse_fft(xhat)
         for _ in range(trials):
             x = Signal(sig_values)
-            w, resolved, _, _ = estimate_values(
-                x, None, support, B, 0.05, alpha, fp, rng
-            )
+            w, resolved, _, _ = estimate_values(x, None, support, fp, rng)
             hits += int(k - resolved.size <= shrink * k)
         rate = hits / trials
         bound = 1 - 10 * alpha / shrink
@@ -233,9 +226,7 @@ class TestIterationStatistics:
             xhat[support] = np.exp(2j * np.pi * rng.random(k))
             xhat += complex_vector(rng, n, scale=0.005)
             x = Signal(inverse_fft(xhat))
-            w, resolved, _, _ = estimate_values(
-                x, None, support, B, delta, alpha, fp, rng
-            )
+            w, resolved, _, _ = estimate_values(x, None, support, fp, rng)
             survivors = np.setdiff1d(support, resolved)
             resid = xhat - w.to_dense()
             before = np.linalg.norm(
