@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Signal, SparseSpectrum, fft_raw
 from .filters import FilterPair
-from .permutation import PermutationParams, nearest_bucket, permute_time_many
+from .permutation import PermutationParams, bucket_index, bucket_offset, permute_time_many
 
 __all__ = ["hash_to_bins"]
 
@@ -62,14 +62,10 @@ def hash_to_bins(
     if z is not None and len(z) > 0:
         support = z.support
         coeffs = np.array([z.get(int(s)) for s in support], dtype=np.complex128)
-        w = n // B
-        pf = (p.sigma * (support - p.b)) % n
-        h_raw = nearest_bucket(pf, w)
-        offs = pf - h_raw * w
         sa = (p.sigma * p.a) % n
         phase = np.exp((-2j * np.pi / n) * ((sa * support) % n))
-        contrib = coeffs * fp.response(offs) * phase
-        j = h_raw % B
+        contrib = coeffs * fp.response(bucket_offset(p, B, support)) * phase
+        j = bucket_index(p, B, support)
         u_hat -= np.bincount(j, weights=contrib.real, minlength=B) + 1j * np.bincount(
             j, weights=contrib.imag, minlength=B
         )

@@ -37,18 +37,21 @@ def _require_power_of_two(n: int) -> None:
 class Signal:
     """Length-n complex time-domain vector behind a sample-counting accessor.
 
-    Reads go through :meth:`read` / :meth:`read_many`, which record the set of
-    distinct indices touched; :attr:`samples_used` is the size of that set and
-    is the sample-complexity charge of whatever ran against the signal.  The
-    counter only grows (multiplicity is free).  Counting is lock-protected so
-    concurrent bucketing calls stay consistent.
+    Reads go through :meth:`read_many`, which marks the indices it touches in
+    a boolean read mask; :attr:`samples_used` is the number of marked indices
+    and is the sample-complexity charge of whatever ran against the signal.
+    The count only grows (multiplicity is free).  Marking is lock-protected
+    so concurrent bucketing calls stay consistent.
+
+    :meth:`session` returns a per-query view with its own mask over the same
+    buffer; its reads also mark the mask of the signal it came from.
 
     :attr:`data` exposes the raw buffer for reference transforms and test
     oracles; it deliberately does not count, so dense ground-truth evaluation
     never pollutes the sampling ledger of the algorithm under test.
     """
 
-    __slots__ = ("n", "_values", "_accessed", "_lock")
+    __slots__ = ("n", "_values", "_masks", "_lock")
 
     def __init__(self, values) -> None:
         v = np.asarray(values, dtype=np.complex128)
@@ -58,27 +61,29 @@ class Signal:
         self.n = int(v.shape[0])
         self._values = v.copy()
         self._values.setflags(write=False)
-        self._accessed: set[int] = set()
+        # this signal's own mask first, then those of the signals it views
+        self._masks = (np.zeros(self.n, dtype=bool),)
         self._lock = threading.Lock()
 
-    def read(self, i: int) -> complex:
-        """Return ``x[i mod n]`` and charge the index to the access counter."""
-        i = int(i) % self.n
-        with self._lock:
-            self._accessed.add(i)
-        return complex(self._values[i])
+    def session(self) -> "Signal":
+        """A view that counts its own reads and charges them to this signal too."""
+        view = object.__new__(Signal)
+        view.n, view._values, view._lock = self.n, self._values, self._lock
+        view._masks = (np.zeros(self.n, dtype=bool),) + self._masks
+        return view
 
     def read_many(self, indices) -> np.ndarray:
-        """Vectorized counted read; duplicate indices are charged once."""
+        """Vectorized counted read of ``x[i mod n]``; duplicates are charged once."""
         idx = np.asarray(indices, dtype=np.int64) % self.n
         with self._lock:
-            self._accessed.update(np.unique(idx).tolist())
+            for mask in self._masks:
+                mask[idx] = True
         return self._values[idx]
 
     @property
     def samples_used(self) -> int:
         with self._lock:
-            return len(self._accessed)
+            return int(np.count_nonzero(self._masks[0]))
 
     @property
     def data(self) -> np.ndarray:

@@ -76,6 +76,11 @@ def _shape(n: int, buckets: int, delta: float, alpha: float) -> tuple[float, flo
     return (1.0 - alpha / 2.0) * w / 2.0, (alpha * w / 4.0) / z
 
 
+def flat_edge(n: int, buckets: int, alpha: float) -> float:
+    """Radius ``(1-alpha)*n/(2B)`` of the flat region; larger offsets roll off."""
+    return (1.0 - alpha) * n / (2.0 * buckets)
+
+
 def _check_params(n, buckets, delta, alpha) -> tuple[int, int]:
     """Validate (n, B, delta, alpha) and return n and B as ints."""
     if not (float(n).is_integer() and float(buckets).is_integer()):
@@ -126,7 +131,7 @@ class FilterPair:
 
     @property
     def flat_radius(self) -> float:
-        return (1.0 - self.alpha) * self.n / (2.0 * self.buckets)
+        return flat_edge(self.n, self.buckets, self.alpha)
 
     @property
     def stop_radius(self) -> float:

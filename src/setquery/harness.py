@@ -100,8 +100,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown signal model {self.signal_model!r}")
         if self.query_model not in QUERY_MODELS:
             raise ConfigError(f"unknown query model {self.query_model!r}")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be nonnegative")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(
+                f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}"
+            )
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 

@@ -37,7 +37,6 @@ __all__ = [
     "nearest_bucket",
     "bucket_index",
     "bucket_offset",
-    "permute_time",
     "permute_time_many",
 ]
 
@@ -107,15 +106,6 @@ def bucket_offset(p: PermutationParams, buckets: int, i):
     pf = np.asarray(permuted_frequency(p, i), dtype=np.int64)
     o = pf - nearest_bucket(pf, w) * w
     return int(o) if o.ndim == 0 else o
-
-
-def permute_time(x, p: PermutationParams, i: int) -> complex:
-    """(P x)_i, reading exactly one (counted) sample of x."""
-    t = int(i) % p.n
-    sample = x.read((p.sigma * (t - p.a)) % p.n)
-    sb = (p.sigma * p.b) % p.n
-    phase = np.exp((-2j * np.pi / p.n) * ((sb * t) % p.n))
-    return complex(sample * phase)
 
 
 def permute_time_many(x, p: PermutationParams, indices) -> np.ndarray:

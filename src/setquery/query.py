@@ -107,10 +107,10 @@ def compute_schedule(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if const_c < 1.0:
-        raise ValueError(f"const_c must be >= 1, got {const_c}")
-    if alpha_const <= 1.0:
-        raise ValueError(f"alpha_const must exceed 1, got {alpha_const}")
+    if not (math.isfinite(const_c) and const_c >= 1.0):
+        raise ValueError(f"const_c must be finite and >= 1, got {const_c}")
+    if not (math.isfinite(alpha_const) and alpha_const > 1.0):
+        raise ValueError(f"alpha_const must be finite and > 1, got {alpha_const}")
 
     rounds = max(1, math.ceil(math.log(k) / math.log(1.0 / gamma))) if k > 1 else 1
     rows = []
@@ -144,6 +144,16 @@ def compute_schedule(
     )
 
 
+def _query_array(query_set, n: int) -> np.ndarray:
+    """The query set as a sorted, duplicate-free int64 array inside [0, n)."""
+    S = np.unique(np.array([int(t) for t in query_set], dtype=np.int64))
+    if S.size == 0:
+        raise ValueError("query set must be nonempty")
+    if S[0] < 0 or S[-1] >= n:
+        raise IndexError("query frequency out of range")
+    return S
+
+
 def estimate_values(
     x: Signal,
     z: SparseSpectrum | None,
@@ -159,12 +169,7 @@ def estimate_values(
     supported exactly on the resolved set; each value is the bin content with
     the permutation's modulation phase unwound.
     """
-    S = np.asarray(sorted(int(t) for t in query_set), dtype=np.int64)
-    if S.size == 0:
-        raise ValueError("query set must be nonempty")
-    if S[0] < 0 or S[-1] >= x.n:
-        raise IndexError("query frequency out of range")
-
+    S = _query_array(query_set, x.n)
     p = random_params(rng, x.n)
     u_hat = hash_to_bins(x, z, p, fp)
 
@@ -202,7 +207,7 @@ class QueryReport:
     """Outcome of one full set query."""
 
     estimate: SparseSpectrum
-    samples_used: int
+    samples_used: int  # distinct samples this call read
     wall_time_ns: int
     schedule: Schedule
     iterations: list[IterationStats] = field(default_factory=list)
@@ -227,17 +232,13 @@ def set_query(
     """Estimate the signal's spectrum on ``query_set``.
 
     Returns the accumulated estimate restricted to the query set together
-    with the distinct-sample count, timing, and per-round diagnostics.  The
-    estimate satisfies, with probability at least 9/10 over the internal
-    randomness, an l2 error on the set bounded by the query tolerance terms
-    (the mass outside the set scaled by eps plus the delta leakage term).
+    with this call's distinct-sample count (read through ``x.session()``),
+    timing and per-round diagnostics.  With probability at least 9/10 over
+    the internal randomness, its l2 error on the set is bounded by the query
+    tolerance terms (the mass outside the set scaled by eps plus delta leakage).
     """
     t0 = time.perf_counter_ns()
-    S = np.unique(np.asarray(sorted(int(t) for t in query_set), dtype=np.int64))
-    if S.size == 0:
-        raise ValueError("query set must be nonempty")
-    if S[0] < 0 or S[-1] >= x.n:
-        raise IndexError("query frequency out of range")
+    S = _query_array(query_set, x.n)
     rng = np.random.default_rng() if rng is None else rng
     filters = FilterCache() if filters is None else filters
 
@@ -251,7 +252,7 @@ def set_query(
         alpha_const=alpha_const,
     )
 
-    samples_before = x.samples_used
+    xs = x.session()
     z = SparseSpectrum(x.n)
     active = S
     stats: list[IterationStats] = []
@@ -259,7 +260,7 @@ def set_query(
         if active.size == 0:
             break
         fp = filters.get(x.n, row.buckets, delta, row.alpha)
-        w_hat, resolved, p, u_hat = estimate_values(x, z, active, fp, rng)
+        w_hat, resolved, p, u_hat = estimate_values(xs, z, active, fp, rng)
         zeta = _large_offset_count(z, p, fp)
         z = z.plus(w_hat)
         active = np.setdiff1d(active, resolved, assume_unique=True)
@@ -283,7 +284,7 @@ def set_query(
     assert set(int(i) for i, _ in estimate.items()) <= set(S.tolist())
     return QueryReport(
         estimate=estimate,
-        samples_used=x.samples_used - samples_before,
+        samples_used=xs.samples_used,
         wall_time_ns=time.perf_counter_ns() - t0,
         schedule=schedule,
         iterations=stats,

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import is_power_of_two, tail_norm
+from .filters import flat_edge
 from .permutation import (
     PermutationParams,
     bucket_index,
@@ -101,7 +102,7 @@ def is_collision(t: int, query_set, p: PermutationParams, buckets: int) -> bool:
 def is_large_offset(t: int, p: PermutationParams, buckets: int, alpha: float) -> bool:
     """True iff |o(t)| >= (1-alpha)*n/(2B)."""
     o = bucket_offset(p, buckets, int(t))
-    return bool(abs(o) >= (1.0 - alpha) * p.n / (2.0 * buckets))
+    return bool(abs(o) >= flat_edge(p.n, buckets, alpha))
 
 
 def is_large_noise(
@@ -174,7 +175,7 @@ def event_rate(
             raise ValueError("offset event needs alpha")
         pf = (sigma * (int(t) - b)) % n
         o = pf - nearest_bucket(pf, w) * w
-        hits = int(np.sum(np.abs(o) >= (1.0 - alpha) * n / (2.0 * buckets)))
+        hits = int(np.sum(np.abs(o) >= flat_edge(n, buckets, alpha)))
         bound = float(alpha)
     elif event == "noise":
         if alpha is None or residual_spectrum is None or k is None:

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -144,6 +145,21 @@ class TestRestrict:
             restrict(np.zeros(4), {4})
 
 
+def _read_concurrently(reader, blocks):
+    """One thread per block, each calling ``reader.read_many`` on it."""
+    threads = [threading.Thread(target=reader.read_many, args=(b,)) for b in blocks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
 class TestSignal:
     def test_requires_power_of_two(self):
         with pytest.raises(ValueError):
@@ -151,8 +167,8 @@ class TestSignal:
 
     def test_distinct_access_counting(self, rng):
         x = Signal(complex_vector(rng, 64))
-        x.read(3)
-        x.read(3)
+        x.read_many([3])
+        x.read_many([3])
         x.read_many([3, 5, 5, 7])
         assert x.samples_used == 3
 
@@ -161,27 +177,42 @@ class TestSignal:
     def test_counter_equals_distinct_reads(self, reads):
         x = Signal(np.arange(32, dtype=complex))
         for i in reads:
-            x.read(i)
+            x.read_many([i])
         assert x.samples_used == len(set(reads))
 
     def test_counter_only_grows_and_threadsafe(self, rng):
         x = Signal(complex_vector(rng, 1024))
         idx = rng.integers(0, 1024, size=(16, 400))
-
-        def worker(block):
-            x.read_many(block)
-
-        threads = [threading.Thread(target=worker, args=(idx[i],)) for i in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        _read_concurrently(x, idx)
         assert x.samples_used == len(set(idx.ravel().tolist()))
+
+    def test_view_counter_threadsafe(self, rng):
+        x = Signal(complex_vector(rng, 1024))
+        view = x.session()
+        idx = rng.integers(0, 1024, size=(16, 400))
+        _read_concurrently(view, idx)
+        assert view.samples_used == x.samples_used == len(set(idx.ravel().tolist()))
+
+    def test_view_charges_parent_not_sibling(self, rng):
+        v = complex_vector(rng, 64)
+        x = Signal(v)
+        x.read_many([0, 1])
+        first, second = x.session(), x.session()
+        assert first.samples_used == 0
+        assert np.array_equal(first.read_many([1, 2, 2, 3]), v[[1, 2, 2, 3]])
+        second.read_many([3, 4])
+        assert first.samples_used == 3
+        assert second.samples_used == 2
+        assert x.samples_used == 5
+        nested = first.session()
+        nested.read_many([9])
+        assert (nested.samples_used, first.samples_used, x.samples_used) == (1, 4, 6)
+        assert second.samples_used == 2
 
     def test_reads_return_values(self, rng):
         v = complex_vector(rng, 16)
         x = Signal(v)
-        assert x.read(5) == pytest.approx(v[5])
+        assert x.read_many([5])[0] == pytest.approx(v[5])
         assert np.allclose(x.read_many([1, 2]), v[[1, 2]])
 
 

@@ -143,6 +143,14 @@ class TestVerificationSuite:
 class TestCli:
     def test_bad_config_exits_2(self, capsys):
         assert main(["query", "--n", "256", "--k", "4", "--eps", "1.5"]) == 2
+        for flag, value in [
+            ("--const-c", "inf"), ("--const-c", "nan"),
+            ("--alpha-const", "inf"), ("--alpha-const", "nan"),
+            ("--gamma", "inf"), ("--gamma", "nan"),
+            ("--noise-sigma", "inf"), ("--noise-sigma", "nan"),
+        ]:
+            args = ["query", "--n", "1024", "--trials", "1", flag, value]
+            assert main(args) == 2, (flag, value)
 
     def test_query_writes_jsonl(self, tmp_path):
         out = tmp_path / "records.jsonl"

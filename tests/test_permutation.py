@@ -8,7 +8,6 @@ from setquery.permutation import (
     PermutationParams,
     bucket_index,
     bucket_offset,
-    permute_time,
     permute_time_many,
     permuted_frequency,
     random_params,
@@ -32,7 +31,7 @@ class TestPermuteTime:
         x = Signal(complex_vector(rng, 16))
         p = PermutationParams(sigma=1, a=0, b=0, n=16)
         for i in range(16):
-            assert permute_time(x, p, i) == pytest.approx(complex(x.data[i]))
+            assert permute_time_many(x, p, [i])[0] == pytest.approx(complex(x.data[i]))
 
     def test_pure_shift(self, rng):
         # sigma=1, a=1, b=0: direct substitution gives (Px)_i = x_{(i-1) mod 8}
@@ -44,7 +43,7 @@ class TestPermuteTime:
     def test_reads_are_counted(self, rng):
         x = Signal(complex_vector(rng, 32))
         p = PermutationParams(sigma=5, a=3, b=7, n=32)
-        permute_time(x, p, 11)
+        permute_time_many(x, p, [11])
         assert x.samples_used == 1
 
     def test_spectrum_identity_random_params(self, rng):

@@ -70,6 +70,14 @@ class TestEstimateValues:
         assert resolved.size == 0
         assert len(w) == 0
 
+    def test_repeated_frequency_is_one_entry(self, filter_cache):
+        # scripted sigma=1, a=0, b=0: offset 7 sits inside the flat radius 12
+        n, B = 1024, 32
+        fp = filter_cache.get(n, B, 1e-3, 0.25)
+        x = Signal(np.zeros(n))
+        _, resolved, _, _ = estimate_values(x, None, [7, 7], fp, FixedRng([0, 0, 0]))
+        assert resolved.tolist() == [7]
+
     def test_zero_signal_gives_zero_values(self, rng, filter_cache):
         n, B = 256, 32
         fp = filter_cache.get(n, B, 1e-3, 0.25)
@@ -181,6 +189,35 @@ class TestSetQuery:
                         filters=filter_cache)
         assert rep.samples_used < n / 2
         assert rep.samples_used == x.samples_used
+
+    def test_reused_signal_charges_each_query_its_own_reads(
+        self, rng, filter_cache, monkeypatch
+    ):
+        n, k = 4096, 8
+        xhat = np.zeros(n, dtype=complex)
+        support = rng.choice(n, size=k, replace=False)
+        xhat[support] = 1.0
+        values = inverse_fft(xhat)
+        seeds = (1, 1, 2)
+
+        def run(x, seed):
+            return set_query(x, support, eps=0.5, delta=0.2, gamma=1 / 16,
+                             const_c=1.0, alpha_const=1.25,
+                             rng=np.random.default_rng(seed),
+                             filters=filter_cache).samples_used
+
+        fresh = [run(Signal(values), seed) for seed in seeds]
+        reads = []
+        read_many = Signal.read_many
+
+        def recording_read_many(self, indices):
+            reads.append(np.asarray(indices, dtype=np.int64) % self.n)
+            return read_many(self, indices)
+
+        monkeypatch.setattr(Signal, "read_many", recording_read_many)
+        x = Signal(values)
+        assert [run(x, seed) for seed in seeds] == fresh
+        assert x.samples_used == np.unique(np.concatenate(reads)).size
 
     def test_rejects_bad_inputs(self, rng, filter_cache):
         x = Signal(np.zeros(256))
