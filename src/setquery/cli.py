@@ -105,8 +105,9 @@ def _cmd_bench(args) -> int:
                         records_to_jsonl(result.records, result.summary).rstrip("\n")
                     )
                 if args.require_success_rate is not None:
-                    if result.summary["success_rate_proof"] < args.require_success_rate:
-                        failed = True
+                    worst = min(result.summary["success_rate_theorem"],
+                                result.summary["success_rate_proof"])
+                    failed = failed or worst < args.require_success_rate
     if args.format == "csv":
         _emit(summary_to_csv(summaries), args.out)
     else:
@@ -165,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     b = subs.add_parser("bench", help="run a (n, k, eps) grid of experiments")
     _add_run_flags(b, grid=True)
     b.add_argument("--require-success-rate", type=float, default=None,
-                   help="exit 1 if any grid point's proof-form rate is lower")
+                   help="exit 1 if any grid point's theorem-form or proof-form "
+                        "success rate is lower")
     b.set_defaults(func=_cmd_bench)
 
     v = subs.add_parser("verify", help="run the probabilistic claim suite")

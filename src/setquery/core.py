@@ -22,11 +22,22 @@ __all__ = [
     "tail_norm",
     "restrict",
     "is_power_of_two",
+    "query_array",
 ]
 
 
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def query_array(query_set, n: int) -> np.ndarray:
+    """The query set as a sorted, duplicate-free int64 array inside [0, n)."""
+    S = np.unique(np.array([int(t) for t in query_set], dtype=np.int64))
+    if S.size == 0:
+        raise ValueError("query set must be nonempty")
+    if S[0] < 0 or S[-1] >= n:
+        raise IndexError("query frequency out of range")
+    return S
 
 
 def _require_power_of_two(n: int) -> None:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import Signal, dft_oracle, fft, inverse_fft, restrict
 from .filters import FilterCache, build_filter
-from .permutation import permuted_frequency, random_params
+from .permutation import permute_time_many, permuted_frequency, random_params
 from .query import compute_schedule, set_query
 from .verification import (
     check_complex_expectation,
@@ -417,9 +417,7 @@ def run_verification_suite(
     worst = 0.0
     for _ in range(10):
         p = random_params(rng, 64)
-        perm = np.exp((-2j * np.pi / 64) * p.sigma * p.b * np.arange(64)) * np.asarray(
-            xs
-        )[(p.sigma * (np.arange(64) - p.a)) % 64]
+        perm = permute_time_many(Signal(xs), p, np.arange(64))
         lhs = dft_oracle(perm)[permuted_frequency(p, np.arange(64))]
         rhs = dft_oracle(xs) * np.exp((-2j * np.pi / 64) * p.sigma * p.a * np.arange(64))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))

@@ -34,7 +34,6 @@ __all__ = [
     "PermutationParams",
     "random_params",
     "permuted_frequency",
-    "nearest_bucket",
     "bucket_index",
     "bucket_offset",
     "permute_time_many",
@@ -43,22 +42,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PermutationParams:
-    """(sigma, a, b) triple over Z_n; sigma odd, hence invertible mod n."""
+    """(sigma, a, b) triple over Z_n; sigma odd, hence invertible mod n.
 
-    sigma: int
-    a: int
-    b: int
+    The fields may also be integer arrays of one broadcast shape, a batch of
+    draws: the functions below then broadcast the batch shape against the
+    index shape, so ``sigma[:, None]`` with indices of shape ``(k,)`` gives
+    one row of k results per draw.
+    """
+
+    sigma: int | np.ndarray
+    a: int | np.ndarray
+    b: int | np.ndarray
     n: int
 
     def __post_init__(self) -> None:
-        if not is_power_of_two(self.n):
-            raise ValueError(f"n must be a power of two, got {self.n}")
-        if not (1 <= self.sigma < self.n or self.n == 1):
-            raise ValueError(f"sigma must lie in [1, n), got {self.sigma}")
-        if self.sigma % 2 == 0:
-            raise ValueError(f"sigma must be odd, got {self.sigma}")
-        if not (0 <= self.a < self.n and 0 <= self.b < self.n):
+        s, n = self.sigma, self.n
+        if not is_power_of_two(n):
+            raise ValueError(f"n must be a power of two, got {n}")
+        if not (_every((1 <= s) & (s < n)) or n == 1):
+            raise ValueError(f"sigma must lie in [1, n), got {s}")
+        if not _every(s % 2 == 1):
+            raise ValueError(f"sigma must be odd, got {s}")
+        if not _every((0 <= self.a) & (self.a < n) & (0 <= self.b) & (self.b < n)):
             raise ValueError("a and b must lie in [0, n)")
+
+
+def _every(cond) -> bool:
+    """True iff a condition holds for every draw; a single draw skips numpy."""
+    return cond is True or bool(np.asarray(cond).all())
 
 
 def random_params(rng: np.random.Generator, n: int) -> PermutationParams:
@@ -73,9 +84,8 @@ def random_params(rng: np.random.Generator, n: int) -> PermutationParams:
 
 def permuted_frequency(p: PermutationParams, i):
     """pi(i) = sigma*(i - b) mod n; a bijection on [0, n) for odd sigma."""
-    idx = np.asarray(i, dtype=np.int64)
-    out = (p.sigma * (idx - p.b)) % p.n
-    return int(out) if np.isscalar(i) or out.ndim == 0 else out
+    out = (p.sigma * (np.asarray(i, dtype=np.int64) - p.b)) % p.n
+    return int(out) if out.ndim == 0 else out
 
 
 def _check_buckets(p: PermutationParams, buckets: int) -> int:

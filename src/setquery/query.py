@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Signal, SparseSpectrum, is_power_of_two
+from .core import Signal, SparseSpectrum, is_power_of_two, query_array
 from .bins import hash_to_bins
 from .filters import FilterCache, FilterPair
 from .permutation import (
@@ -144,16 +144,6 @@ def compute_schedule(
     )
 
 
-def _query_array(query_set, n: int) -> np.ndarray:
-    """The query set as a sorted, duplicate-free int64 array inside [0, n)."""
-    S = np.unique(np.array([int(t) for t in query_set], dtype=np.int64))
-    if S.size == 0:
-        raise ValueError("query set must be nonempty")
-    if S[0] < 0 or S[-1] >= n:
-        raise IndexError("query frequency out of range")
-    return S
-
-
 def estimate_values(
     x: Signal,
     z: SparseSpectrum | None,
@@ -169,7 +159,7 @@ def estimate_values(
     supported exactly on the resolved set; each value is the bin content with
     the permutation's modulation phase unwound.
     """
-    S = _query_array(query_set, x.n)
+    S = query_array(query_set, x.n)
     p = random_params(rng, x.n)
     u_hat = hash_to_bins(x, z, p, fp)
 
@@ -238,7 +228,7 @@ def set_query(
     tolerance terms (the mass outside the set scaled by eps plus delta leakage).
     """
     t0 = time.perf_counter_ns()
-    S = _query_array(query_set, x.n)
+    S = query_array(query_set, x.n)
     rng = np.random.default_rng() if rng is None else rng
     filters = FilterCache() if filters is None else filters
 

@@ -12,8 +12,11 @@ estimation analysis:
 
 Claimed bounds: Pr[collision] <= 4|S|/B, Pr[offset] <= alpha,
 Pr[noise] <= 4*alpha; a coordinate with none of the three ("well isolated")
-occurs with probability >= 1 - 6*alpha.  These are measured empirically with
-binomial standard errors attached.
+occurs with probability >= 1 - 6*alpha.  Each event is defined once, by its
+``is_*`` predicate on the package's own bucket hash; given a batch of draws
+a predicate returns one boolean per draw, and each Monte Carlo rate is the
+mean of its predicate over batches of draws, with binomial standard errors
+attached.
 
 Note the offset claim is a continuum statement: offsets are integers in a
 width-(n/B) window, so the discrete rate is alpha + O(B/n) and the bound is
@@ -38,18 +41,13 @@ idealized statement glosses over).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import is_power_of_two, tail_norm
+from .core import is_power_of_two, query_array, tail_norm
 from .filters import flat_edge
-from .permutation import (
-    PermutationParams,
-    bucket_index,
-    bucket_offset,
-    nearest_bucket,
-    random_params,
-)
+from .permutation import PermutationParams, bucket_index, bucket_offset, random_params
 
 __all__ = [
     "EventStats",
@@ -88,21 +86,23 @@ class EventStats:
         return self.rate <= self.bound + 3.0 * self.std_err
 
 
-def is_collision(t: int, query_set, p: PermutationParams, buckets: int) -> bool:
-    """True iff some other element of the query set shares t's bucket."""
-    S = np.asarray(sorted(int(i) for i in query_set), dtype=np.int64)
-    if int(t) not in set(S.tolist()):
+def is_collision(t: int, query_set, p: PermutationParams, buckets: int):
+    """True iff some other element of the query set shares t's bucket.
+
+    One boolean per draw when ``p`` holds a batch of draws.
+    """
+    S, t = query_array(query_set, p.n), int(t)
+    if t not in S:
         raise ValueError("t must belong to the query set")
     h = bucket_index(p, buckets, S)
-    ht = bucket_index(p, buckets, int(t))
-    others = S != int(t)
-    return bool(np.any(h[others] == ht))
+    ht = bucket_index(p, buckets, [t])
+    return np.any(h[..., S != t] == ht, axis=-1)
 
 
-def is_large_offset(t: int, p: PermutationParams, buckets: int, alpha: float) -> bool:
-    """True iff |o(t)| >= (1-alpha)*n/(2B)."""
-    o = bucket_offset(p, buckets, int(t))
-    return bool(abs(o) >= flat_edge(p.n, buckets, alpha))
+def is_large_offset(t: int, p: PermutationParams, buckets: int, alpha: float):
+    """True iff |o(t)| >= (1-alpha)*n/(2B); one boolean per draw."""
+    o = bucket_offset(p, buckets, query_array([t], p.n))
+    return np.any(np.abs(o) >= flat_edge(p.n, buckets, alpha), axis=-1)
 
 
 def is_large_noise(
@@ -113,12 +113,12 @@ def is_large_noise(
     buckets: int,
     alpha: float,
     k: int,
-) -> bool:
+):
     """True iff the off-set residual energy in t's bucket reaches its share.
 
     Compares ``l2(residual on bucket(t) minus the query set)^2`` against
     ``Err^2(residual, k) / (alpha * B)`` with the bucket preimage found by
-    dense enumeration (test-only; rejects n > 2**14).
+    dense enumeration (test-only; rejects n > 2**14).  One boolean per draw.
     """
     resid = np.asarray(residual_spectrum, dtype=np.complex128)
     n = resid.shape[0]
@@ -126,14 +126,13 @@ def is_large_noise(
         raise ValueError(f"noise event enumeration capped at n={_NOISE_ENUMERATION_LIMIT}")
     if n != p.n:
         raise ValueError("residual length and permutation size differ")
-    h_all = bucket_index(p, buckets, np.arange(n))
-    in_bucket = h_all == bucket_index(p, buckets, int(t))
-    in_bucket[np.asarray(sorted(int(i) for i in query_set), dtype=np.int64)] = False
-    lhs = float(np.sum(np.abs(resid[in_bucket]) ** 2))
+    energy = np.abs(resid) ** 2
+    energy[query_array(query_set, n)] = 0.0
+    h = bucket_index(p, buckets, np.arange(n))
+    ht = bucket_index(p, buckets, query_array([t], n))
+    lhs = np.sum(np.where(h == ht, energy, 0.0), axis=-1)
     rhs = tail_norm(resid, k) ** 2 / (alpha * buckets)
-    if rhs == 0.0:
-        return False
-    return lhs >= rhs
+    return (lhs >= rhs) & (rhs > 0.0)
 
 
 def event_rate(
@@ -151,61 +150,41 @@ def event_rate(
     """Empirical rate of a hashing event over fresh (sigma, b) draws.
 
     ``event`` is one of ``"collision"``, ``"offset"``, ``"noise"``; the bound
-    attached is the claimed 4|S|/B, alpha, or 4*alpha respectively.
+    attached is the claimed 4|S|/B, alpha, or 4*alpha respectively.  The rate
+    is the mean of the event's ``is_*`` predicate over batches of draws.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful rate")
     if not is_power_of_two(n):
         raise ValueError(f"n must be a power of two, got {n}")
-    S = np.asarray(sorted(int(i) for i in query_set), dtype=np.int64)
-    w = n // buckets
+    S = query_array(query_set, n)
 
     sigma = rng.integers(0, max(n // 2, 1), size=trials) * 2 + 1
     b = rng.integers(0, n, size=trials)
 
     if event == "collision":
-        pf = (sigma[:, None] * (S[None, :] - b[:, None])) % n
-        h = nearest_bucket(pf, w) % buckets
-        ht = h[:, S == int(t)]
-        others = h[:, S != int(t)]
-        hits = int(np.sum(np.any(others == ht, axis=1)))
+        happens = partial(is_collision, t, S, buckets=buckets)
         bound = 4.0 * S.size / buckets
     elif event == "offset":
         if alpha is None:
             raise ValueError("offset event needs alpha")
-        pf = (sigma * (int(t) - b)) % n
-        o = pf - nearest_bucket(pf, w) * w
-        hits = int(np.sum(np.abs(o) >= flat_edge(n, buckets, alpha)))
+        happens = partial(is_large_offset, t, buckets=buckets, alpha=alpha)
         bound = float(alpha)
     elif event == "noise":
         if alpha is None or residual_spectrum is None or k is None:
             raise ValueError("noise event needs alpha, residual_spectrum, and k")
-        resid = np.asarray(residual_spectrum, dtype=np.complex128)
-        if resid.shape[0] != n:
-            raise ValueError("residual length mismatch")
-        if n > _NOISE_ENUMERATION_LIMIT:
-            raise ValueError("noise event enumeration capped at n=2**14")
-        energy = np.abs(resid) ** 2
-        energy_off_S = energy.copy()
-        energy_off_S[S] = 0.0
-        threshold = tail_norm(resid, k) ** 2 / (alpha * buckets)
-        i = np.arange(n, dtype=np.int64)
-        hits = 0
-        # batched over trials to bound the trials x n intermediate
-        batch = max(1, (1 << 22) // n)
-        for lo in range(0, trials, batch):
-            sg = sigma[lo : lo + batch, None]
-            bb = b[lo : lo + batch, None]
-            pf = (sg * (i[None, :] - bb)) % n
-            h = nearest_bucket(pf, w) % buckets
-            ht = np.take_along_axis(h, np.full((sg.shape[0], 1), int(t)), axis=1)
-            bucket_energy = np.sum(np.where(h == ht, energy_off_S[None, :], 0.0), axis=1)
-            if threshold == 0.0:
-                continue
-            hits += int(np.sum(bucket_energy >= threshold))
+        happens = partial(
+            is_large_noise, t, S, residual_spectrum, buckets=buckets, alpha=alpha, k=k
+        )
         bound = 4.0 * float(alpha)
     else:
         raise ValueError(f"unknown event {event!r}")
+    hits = 0
+    # batched over trials to bound the draws x indices intermediates
+    batch = max(1, (1 << 22) // n)
+    for lo in range(0, trials, batch):
+        p = PermutationParams(sigma[lo : lo + batch, None], 0, b[lo : lo + batch, None], n)
+        hits += int(np.count_nonzero(happens(p=p)))
     return EventStats(trials=trials, hits=hits, bound=bound)
 
 

@@ -152,6 +152,24 @@ class TestCli:
             args = ["query", "--n", "1024", "--trials", "1", flag, value]
             assert main(args) == 2, (flag, value)
 
+    def test_verify_bucket_count_above_n_exits_2(self, capsys):
+        assert main(["verify", "--n", "64", "--trials", "1000"]) == 2
+        assert "bucket count 128 must divide n=64" in capsys.readouterr().err
+
+    def test_bench_gate_reads_theorem_rate(self, capsys):
+        # sampling profile: every proof-form check passes, the theorem form
+        # does not (half the query set is unplanted)
+        code = main([
+            "bench", "--n", "4096", "--k", "8", "--eps", "0.5", "--delta", "0.2",
+            "--gamma", "0.0625", "--const-c", "1", "--alpha-const", "1.25",
+            "--signal-model", "planted-sparse", "--query-model", "superset",
+            "--trials", "20", "--no-timing", "--require-success-rate", "0.9",
+        ])
+        summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["summary"]
+        assert summary["success_rate_proof"] == 1.0
+        assert summary["success_rate_theorem"] < 0.9
+        assert code == 1
+
     def test_query_writes_jsonl(self, tmp_path):
         out = tmp_path / "records.jsonl"
         code = main([

@@ -25,6 +25,23 @@ class TestPermutationParams:
         with pytest.raises(ValueError):
             PermutationParams(sigma=1, a=8, b=0, n=8)
 
+    def test_batch_rejects_any_bad_draw(self):
+        good = np.array([1, 3, 5])
+        PermutationParams(sigma=good, a=0, b=good, n=8)
+        for sigma, b in [([1, 4, 5], good), ([1, 9, 5], good), (good, [0, 8, 1])]:
+            with pytest.raises(ValueError):
+                PermutationParams(sigma=np.array(sigma), a=0, b=np.array(b), n=8)
+
+    def test_batch_broadcasts_against_indices(self):
+        n = 64
+        sigma, b = np.array([1, 3, 5]), np.array([0, 7, 63])
+        batch = PermutationParams(sigma[:, None], 0, b[:, None], n)
+        i = np.arange(n)
+        for fn in (permuted_frequency, lambda p, i: bucket_index(p, 8, i),
+                   lambda p, i: bucket_offset(p, 8, i)):
+            rows = [fn(PermutationParams(int(s), 0, int(bb), n), i) for s, bb in zip(sigma, b)]
+            assert np.array_equal(fn(batch, i), np.stack(rows))
+
 
 class TestPermuteTime:
     def test_identity_params(self, rng):

@@ -4,6 +4,7 @@ import pytest
 from setquery.core import Signal, SparseSpectrum, inverse_fft, restrict
 from setquery.filters import FilterCache
 from setquery.query import compute_schedule, estimate_values, set_query
+from setquery.verification import is_collision, is_large_offset
 
 from conftest import complex_vector
 
@@ -109,6 +110,31 @@ class TestEstimateValues:
         w, resolved, _, _ = estimate_values(x, None, S, fp, rng)
         assert set(i for i, _ in w.items()) == set(resolved.tolist())
         assert set(resolved.tolist()) <= set(int(s) for s in S)
+
+    def test_resolved_set_is_where_no_event_happens(self, filter_cache):
+        # the Monte Carlo events are the resolve step's: t resolves iff it
+        # neither collides nor lands at a large offset under the drawn p
+        n = 1024
+        rng = np.random.default_rng(11)
+        x = Signal(complex_vector(rng, n))
+        dropped = {"collision": 0, "offset": 0, "resolved": 0}
+        for _ in range(200):
+            B = int(rng.choice([16, 32, 64]))
+            alpha = float(rng.choice([0.25, 0.5]))
+            S = rng.choice(n, size=int(rng.integers(1, 24)), replace=False)
+            fp = filter_cache.get(n, B, 1e-3, alpha)
+            _, resolved, p, _ = estimate_values(x, None, S, fp, rng)
+            expected = []
+            for t in sorted(int(t) for t in S):
+                if is_collision(t, S, p, B):
+                    dropped["collision"] += 1
+                elif is_large_offset(t, p, B, alpha):
+                    dropped["offset"] += 1
+                else:
+                    expected.append(t)
+            assert resolved.tolist() == expected
+            dropped["resolved"] += len(expected)
+        assert min(dropped.values()) > 0, dropped
 
     def test_rejects_empty_set(self, rng, filter_cache):
         fp = filter_cache.get(256, 32, 1e-3, 0.25)

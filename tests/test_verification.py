@@ -109,6 +109,40 @@ class TestEventRates:
         with pytest.raises(ValueError):
             event_rate("meteor", 0, [0], 256, 32, 10**4, rng)
 
+    def test_out_of_range_query_set_rejected(self, rng):
+        # 5000 = 904 mod 4096 would otherwise collide with itself every draw
+        with pytest.raises(IndexError):
+            event_rate("collision", 5000, [5000, 904], 4096, 64, 2000, rng)
+        with pytest.raises(IndexError):
+            is_collision(-1, [-1, 4095], PermutationParams(1, 0, 0, 4096), 64)
+
+    def test_bucket_count_must_divide_n(self, rng):
+        for event, t, S in [("collision", 3, [3, 5]), ("offset", 1, [1])]:
+            with pytest.raises(ValueError, match="must divide"):
+                event_rate(event, t, S, 64, 128, 1000, rng, alpha=0.125)
+
+
+class TestBatchedDraws:
+    def test_one_boolean_per_draw_matches_single_draws(self, rng):
+        n, B, alpha, draws = 256, 16, 0.25, 300
+        sigma = rng.integers(0, n // 2, size=draws) * 2 + 1
+        b = rng.integers(0, n, size=draws)
+        batch = PermutationParams(sigma[:, None], 0, b[:, None], n)
+        singles = [PermutationParams(int(s), 0, int(bb), n) for s, bb in zip(sigma, b)]
+        S = rng.choice(n, size=8, replace=False)
+        t = int(S[0])
+        resid = complex_vector(rng, n, scale=0.05)
+        resid[rng.choice(n, size=2, replace=False)] += 3.0
+        for happens in (
+            lambda p: is_collision(t, S, p, B),
+            lambda p: is_large_offset(t, p, B, alpha),
+            lambda p: is_large_noise(t, S, resid, p, B, alpha, 2),
+        ):
+            got = happens(batch)
+            assert got.shape == (draws,)
+            assert got.tolist() == [bool(happens(p)) for p in singles]
+            assert 0 < np.count_nonzero(got) < draws
+
 
 class TestWellIsolated:
     def test_union_bound_consistency(self, rng):
