@@ -16,6 +16,10 @@ calibration test at n=64.
 The running estimate zhat is subtracted exactly: each support coordinate of
 zhat contributes to at most one bin, since the idealized response vanishes at
 and beyond half a bucket width.
+
+Per tap the call does a few integer operations, one counted read, and one
+phase looked up by :func:`~setquery.permutation.twiddle`.  B divides the
+power-of-two n, so the fold into bins is a mask ``& (B-1)``, not a division.
 """
 
 from __future__ import annotations
@@ -24,7 +28,13 @@ import numpy as np
 
 from .core import Signal, SparseSpectrum, fft_raw
 from .filters import FilterPair
-from .permutation import PermutationParams, bucket_index, bucket_offset, permute_time_many
+from .permutation import (
+    PermutationParams,
+    bucket_index,
+    bucket_offset,
+    permute_time_many,
+    twiddle,
+)
 
 __all__ = ["hash_to_bins"]
 
@@ -50,10 +60,9 @@ def hash_to_bins(
     if n % B != 0:
         raise ValueError(f"bucket count {B} must divide n={n}")
 
-    t_abs = fp.offsets % n
-    y = fp.taps * permute_time_many(x, p, t_abs)
+    y = fp.taps * permute_time_many(x, p, fp.offsets)
 
-    folded = t_abs % B
+    folded = fp.offsets & (B - 1)  # mod B; B divides n, so this is also (offset mod n) mod B
     u = np.bincount(folded, weights=y.real, minlength=B) + 1j * np.bincount(
         folded, weights=y.imag, minlength=B
     )
@@ -62,8 +71,7 @@ def hash_to_bins(
     if z is not None and len(z) > 0:
         support = z.support
         coeffs = np.array([z.get(int(s)) for s in support], dtype=np.complex128)
-        sa = (p.sigma * p.a) % n
-        phase = np.exp((-2j * np.pi / n) * ((sa * support) % n))
+        phase = twiddle(n, ((p.sigma * p.a) & (n - 1)) * support)
         contrib = coeffs * fp.response(bucket_offset(p, B, support)) * phase
         j = bucket_index(p, B, support)
         u_hat -= np.bincount(j, weights=contrib.real, minlength=B) + 1j * np.bincount(

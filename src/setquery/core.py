@@ -85,7 +85,7 @@ class Signal:
 
     def read_many(self, indices) -> np.ndarray:
         """Vectorized counted read of ``x[i mod n]``; duplicates are charged once."""
-        idx = np.asarray(indices, dtype=np.int64) % self.n
+        idx = np.asarray(indices, dtype=np.int64) & (self.n - 1)  # mod n; n is a power of two
         with self._lock:
             for mask in self._masks:
                 mask[idx] = True

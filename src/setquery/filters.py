@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import io
 import threading
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -293,17 +294,27 @@ def load_filter(path) -> FilterPair:
 
 
 class FilterCache:
-    """Thread-safe in-memory cache of built filters keyed by parameters."""
+    """Thread-safe in-memory cache of built filters keyed by parameters.
+
+    ``hits`` and ``misses`` count :meth:`get` calls, and ``build_ns`` is the
+    total time the misses spent in :func:`build_filter`.
+    """
 
     def __init__(self) -> None:
         self._filters: dict[tuple, FilterPair] = {}
         self._lock = threading.Lock()
+        self.hits = self.misses = self.build_ns = 0
 
     def get(self, n: int, buckets: int, delta: float, alpha: float) -> FilterPair:
         key = (int(n), int(buckets), float(delta), float(alpha))
         # Building under the lock makes concurrent misses on a key build once.
         with self._lock:
             fp = self._filters.get(key)
-            if fp is None:
-                fp = self._filters[key] = build_filter(n, buckets, delta, alpha)
+            if fp is not None:
+                self.hits += 1
+                return fp
+            t0 = time.perf_counter_ns()
+            fp = self._filters[key] = build_filter(n, buckets, delta, alpha)
+            self.build_ns += time.perf_counter_ns() - t0
+            self.misses += 1
         return fp

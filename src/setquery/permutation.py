@@ -11,19 +11,23 @@ whose effect on the spectrum is a pure relabeling plus a unit phase:
 
 That phase sign is fixed here once and for all (validated against the dense
 DFT oracle in the test suite); estimation code must unwind it with the
-conjugate factor ``exp(+2j*pi*sigma*a*t/n)``.
+conjugate factor ``exp(+2j*pi*sigma*a*t/n)``.  Every such phase is an n-th
+root of unity, read by :func:`twiddle` from two shared O(sqrt n) tables
+rather than recomputed per index.
 
 Mapping ``pi`` composed with rounding to the nearest multiple of ``n/B``
 yields a bucket hash ``h`` and a signed in-bucket offset ``o`` with
 ``h(i)*(n/B) + o(i) == pi(i) (mod n)`` and ``|o| <= n/(2B)``.  Rounding is
 half-up, with the top edge folded onto bucket 0.
 
-Everything here is lazy per-index arithmetic: the permuted signal is never
-materialized, so callers only ever touch the samples they ask for.
+Everything here is lazy per-index arithmetic, table lookups and power-of-two
+masks: the permuted signal is never materialized, so callers only ever touch
+the samples they ask for.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +41,7 @@ __all__ = [
     "bucket_index",
     "bucket_offset",
     "permute_time_many",
+    "twiddle",
 ]
 
 
@@ -118,10 +123,32 @@ def bucket_offset(p: PermutationParams, buckets: int, i):
     return int(o) if o.ndim == 0 else o
 
 
+@functools.lru_cache(maxsize=64)  # one entry per power of two up to 2**63
+def _root_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(omega_n**(hi*L), omega_n**lo) for hi < n/L and lo < L = 2**ceil(log2(n)/2)."""
+    if not is_power_of_two(n):
+        raise ValueError(f"n must be a power of two, got {n}")
+    h = n.bit_length() // 2
+    hi = np.exp((-2j * np.pi / n) * (np.arange(n >> h, dtype=np.int64) << h))
+    lo = np.exp((-2j * np.pi / n) * np.arange(1 << h, dtype=np.int64))
+    hi.setflags(write=False)
+    lo.setflags(write=False)
+    return hi, lo
+
+
+def twiddle(n: int, e) -> np.ndarray:
+    """omega_n**e = exp(-2j*pi*e/n) for an integer exponent array, taken mod n.
+
+    The exponent splits as e = hi*L + lo with L = 2**ceil(log2(n)/2), so two
+    cached tables of at most L entries each stand in for a per-element exp.
+    """
+    hi, lo = _root_tables(n)
+    e = np.asarray(e, dtype=np.int64) & (n - 1)
+    return hi[e >> (lo.size.bit_length() - 1)] * lo[e & (lo.size - 1)]
+
+
 def permute_time_many(x, p: PermutationParams, indices) -> np.ndarray:
     """Vectorized (P x)_i over an index array; one counted read per index."""
-    t = np.asarray(indices, dtype=np.int64) % p.n
-    samples = x.read_many((p.sigma * (t - p.a)) % p.n)
-    sb = (p.sigma * p.b) % p.n
-    phases = np.exp((-2j * np.pi / p.n) * ((sb * t) % p.n))
-    return samples * phases
+    t = np.asarray(indices, dtype=np.int64)
+    samples = x.read_many(p.sigma * (t - p.a))
+    return samples * twiddle(p.n, ((p.sigma * p.b) & (p.n - 1)) * t)

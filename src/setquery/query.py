@@ -42,6 +42,7 @@ from .permutation import (
     bucket_index,
     bucket_offset,
     random_params,
+    twiddle,
 )
 
 __all__ = [
@@ -170,8 +171,7 @@ def estimate_values(
     small_offset = np.abs(o) < fp.flat_radius
     resolved = S[alone & small_offset]
 
-    sa = (p.sigma * p.a) % x.n
-    phases = np.exp((2j * np.pi / x.n) * ((sa * resolved) % x.n))
+    phases = np.conj(twiddle(x.n, ((p.sigma * p.a) & (x.n - 1)) * resolved))
     values = u_hat[h[alone & small_offset]] * phases
     w_hat = SparseSpectrum(x.n, dict(zip(resolved.tolist(), values.tolist())))
     return w_hat, resolved, p, u_hat

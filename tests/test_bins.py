@@ -27,6 +27,23 @@ def explicit_bins(xhat, z, p, fp):
     return out
 
 
+def exp_phase_bins(x, z, p, fp):
+    """The bin vector assembled tap by tap with the per-tap exp phases."""
+    n, B = fp.n, fp.buckets
+    t = fp.offsets % n
+    samples = x.data[(p.sigma * (t - p.a)) % n]
+    y = fp.taps * samples * np.exp((-2j * np.pi / n) * ((p.sigma * p.b * t) % n))
+    u = np.zeros(B, dtype=complex)
+    np.add.at(u, t % B, y)
+    u_hat = np.fft.fft(u)
+    if z is not None:
+        s = z.support
+        coeffs = np.array([z.get(int(i)) for i in s])
+        phase = np.exp((-2j * np.pi / n) * ((p.sigma * p.a * s) % n))
+        np.add.at(u_hat, bucket_index(p, B, s), -coeffs * fp.response(bucket_offset(p, B, s)) * phase)
+    return u_hat
+
+
 def make_instance(rng, n, B, delta, alpha, k, with_z, filter_cache):
     fp = filter_cache.get(n, B, delta, alpha)
     support = rng.choice(n, size=k, replace=False)
@@ -108,6 +125,17 @@ class TestContract:
         u2 = hash_to_bins(Signal(x2), None, p, fp)
         u12 = hash_to_bins(Signal(x1 + x2), None, p, fp)
         assert np.max(np.abs(u12 - (u1 + u2))) <= 1e-10
+
+
+    @pytest.mark.parametrize("with_z", [False, True])
+    def test_matches_exp_phase_bins_round_two_filter(self, with_z, rng, filter_cache):
+        # the 49k-tap round-2 filter of the sampling profile at n=2^16, k=32
+        fp, x, _, z = make_instance(rng, 1 << 16, 1024, 0.2, 0.1, 32, with_z, filter_cache)
+        for _ in range(3):
+            p = random_params(rng, x.n)
+            want = exp_phase_bins(x, z, p, fp)
+            got = hash_to_bins(x, z, p, fp)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestAccounting:

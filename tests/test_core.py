@@ -209,6 +209,13 @@ class TestSignal:
         assert (nested.samples_used, first.samples_used, x.samples_used) == (1, 4, 6)
         assert second.samples_used == 2
 
+    def test_indices_wrap_mod_n(self, rng):
+        n = 16
+        v = complex_vector(rng, n)
+        for x in (Signal(v), Signal(v).session()):
+            assert np.array_equal(x.read_many([-1, n, n + 3, 3]), v[[n - 1, 0, 3, 3]])
+            assert x.samples_used == 3
+
     def test_reads_return_values(self, rng):
         v = complex_vector(rng, 16)
         x = Signal(v)

@@ -206,5 +206,13 @@ class TestFilterCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(calls) == 1
+        assert len(calls) == 1 and cache.misses == 1 and cache.hits == 3
         assert len(results) == 4 and all(r is results[0] for r in results)
+
+    def test_counts_hits_misses_and_build_time(self):
+        cache = FilterCache()
+        assert (cache.hits, cache.misses, cache.build_ns) == (0, 0, 0)
+        first = cache.get(256, 32, 1e-2, 0.25)
+        assert cache.get(256, 32, 1e-2, 0.25) is first
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert cache.build_ns > 0

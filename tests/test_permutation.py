@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from setquery.permutation import (
     permute_time_many,
     permuted_frequency,
     random_params,
+    twiddle,
 )
+from setquery.permutation import _root_tables
 
 from conftest import complex_vector
 
@@ -75,6 +79,30 @@ class TestPermuteTime:
                 lhs = dft_oracle(perm)[permuted_frequency(p, np.arange(n))]
                 rhs = xhat * np.exp((-2j * np.pi / n) * p.sigma * p.a * np.arange(n))
                 assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+
+class TestTwiddle:
+    @pytest.mark.parametrize("n", [1, 2, 8, 1 << 11, 1 << 16, 1 << 20])
+    def test_matches_exp(self, n, rng):
+        split = 1 << math.ceil(math.log2(n) / 2)  # the hi/lo boundary
+        edges = [0, n - 1, split - 1, split, split + 1, n - split]
+        e = np.concatenate([edges, rng.integers(0, n, 2000)]) % n
+        assert np.max(np.abs(twiddle(n, e) - np.exp((-2j * np.pi / n) * e))) <= 4e-15
+        # the exponent is taken mod n, negative or past n alike
+        assert np.array_equal(twiddle(n, e - n), twiddle(n, e))
+        assert np.array_equal(twiddle(n, e + 3 * n), twiddle(n, e))
+
+    def test_tables_are_sqrt_n_and_read_only(self):
+        n = 1 << 21
+        hi, lo = _root_tables(n)
+        assert hi.size + lo.size <= 2 * (1 << 11)
+        for table in (hi, lo):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_rejects_non_power_of_two(self):
+        with pytest.raises(ValueError):
+            twiddle(12, [1])
 
 
 class TestPermutedFrequency:
