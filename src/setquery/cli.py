@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: ``query`` (single run), ``bench`` (grid experiment), ``verify``
-(claim suite), ``filter-info`` (build and report a filter).  Exit codes:
-0 success, 1 acceptance failure, 2 invalid configuration.
+Subcommands: ``query`` (a one-point ``bench``), ``bench`` (grid experiment),
+``verify`` (claim suite), ``filter-info`` (build and report a filter).  Exit
+codes: 0 success, 1 acceptance failure, 2 invalid configuration.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ import sys
 
 from .filters import FilterBuildError, build_filter, load_filter, save_filter
 from .harness import (
+    QUERY_MODELS,
+    SIGNAL_MODELS,
     ConfigError,
     ExperimentConfig,
-    records_to_jsonl,
     run_experiment,
     run_verification_suite,
     summary_to_csv,
@@ -34,30 +35,29 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t]
 
 
-def _add_run_flags(sub: argparse.ArgumentParser, grid: bool) -> None:
+def _add_run_flags(sub: argparse.ArgumentParser, grid: bool, trials: int) -> None:
+    d = ExperimentConfig()
     if grid:
         sub.add_argument("--n", type=_int_list, default=[1024, 4096])
         sub.add_argument("--k", type=_int_list, default=[4, 8, 16])
         sub.add_argument("--eps", type=_float_list, default=[0.25, 0.5])
     else:
-        sub.add_argument("--n", type=int, default=4096)
-        sub.add_argument("--k", type=int, default=8)
-        sub.add_argument("--eps", type=float, default=0.5)
-    sub.add_argument("--delta", type=float, default=1e-3)
-    sub.add_argument("--gamma", type=float, default=0.25)
-    sub.add_argument("--const-c", type=float, default=4.0)
-    sub.add_argument("--alpha-const", type=float, default=200.0)
-    sub.add_argument("--trials", type=int, default=1 if not grid else 3)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--signal-model", default="sparse-plus-gaussian",
-                     choices=["planted-sparse", "sparse-plus-gaussian",
-                              "adversarial-near-bucket"])
-    sub.add_argument("--noise-sigma", type=float, default=0.01)
-    sub.add_argument("--query-model", default="superset",
-                     choices=["exact-support", "superset", "disjoint"])
+        sub.add_argument("--n", type=int, default=d.n)
+        sub.add_argument("--k", type=int, default=d.k)
+        sub.add_argument("--eps", type=float, default=d.eps)
+    sub.add_argument("--delta", type=float, default=d.delta)
+    sub.add_argument("--gamma", type=float, default=d.gamma)
+    sub.add_argument("--const-c", type=float, default=d.const_c)
+    sub.add_argument("--alpha-const", type=float, default=d.alpha_const)
+    # the CLI's own trial counts, far below the config's: quick by default
+    sub.add_argument("--trials", type=int, default=trials)
+    sub.add_argument("--seed", type=int, default=d.seed)
+    sub.add_argument("--signal-model", default=d.signal_model, choices=SIGNAL_MODELS)
+    sub.add_argument("--noise-sigma", type=float, default=d.noise_sigma)
+    sub.add_argument("--query-model", default=d.query_model, choices=QUERY_MODELS)
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
     sub.add_argument("--format", default="jsonl", choices=["jsonl", "csv"])
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=d.threads)
     sub.add_argument("--no-timing", action="store_true",
                      help="omit wall times for byte-identical reruns")
 
@@ -70,49 +70,41 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _config_from_args(args, n: int, k: int, eps: float, trials: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        n=n, k=k, eps=eps, delta=args.delta, gamma=args.gamma,
-        const_c=args.const_c, alpha_const=args.alpha_const, trials=trials,
-        seed=args.seed, signal_model=args.signal_model,
-        noise_sigma=args.noise_sigma, query_model=args.query_model,
-        threads=args.threads, include_timing=not args.no_timing,
+def _run_grid(args, ns, ks, epss, require_rate: float | None = None) -> int:
+    """Run every (n, k, eps) point, emit records or summaries, apply the gate."""
+    results = [
+        run_experiment(ExperimentConfig(
+            n=n, k=k, eps=eps, delta=args.delta, gamma=args.gamma,
+            const_c=args.const_c, alpha_const=args.alpha_const,
+            trials=args.trials, seed=args.seed, signal_model=args.signal_model,
+            noise_sigma=args.noise_sigma, query_model=args.query_model,
+            threads=args.threads, include_timing=not args.no_timing,
+        ))
+        for n in ns for k in ks for eps in epss
+    ]
+    if args.format == "csv":
+        _emit(summary_to_csv([r.summary for r in results]), args.out)
+    else:
+        _emit("".join(r.to_jsonl() for r in results), args.out)
+    failed = require_rate is not None and any(
+        min(r.summary["success_rate_theorem"], r.summary["success_rate_proof"])
+        < require_rate
+        for r in results
     )
+    return EXIT_ACCEPTANCE_FAILURE if failed else EXIT_OK
 
 
 def _cmd_query(args) -> int:
-    config = _config_from_args(args, args.n, args.k, args.eps, args.trials)
-    result = run_experiment(config)
-    if args.format == "csv":
-        _emit(summary_to_csv([result.summary]), args.out)
-    else:
-        _emit(records_to_jsonl(result.records, result.summary), args.out)
-    return EXIT_OK
+    return _run_grid(args, [args.n], [args.k], [args.eps])
 
 
 def _cmd_bench(args) -> int:
-    lines: list[str] = []
-    summaries: list[dict] = []
-    failed = False
-    for n in args.n:
-        for k in args.k:
-            for eps in args.eps:
-                config = _config_from_args(args, n, k, eps, args.trials)
-                result = run_experiment(config)
-                summaries.append(result.summary)
-                if args.format == "jsonl":
-                    lines.append(
-                        records_to_jsonl(result.records, result.summary).rstrip("\n")
-                    )
-                if args.require_success_rate is not None:
-                    worst = min(result.summary["success_rate_theorem"],
-                                result.summary["success_rate_proof"])
-                    failed = failed or worst < args.require_success_rate
-    if args.format == "csv":
-        _emit(summary_to_csv(summaries), args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_ACCEPTANCE_FAILURE if failed else EXIT_OK
+    if not (args.n and args.k and args.eps):
+        raise ConfigError("--n, --k and --eps each need at least one value")
+    rate = args.require_success_rate
+    if rate is not None and not 0.0 <= rate <= 1.0:
+        raise ConfigError(f"--require-success-rate must lie in [0, 1], got {rate}")
+    return _run_grid(args, args.n, args.k, args.eps, rate)
 
 
 def _cmd_verify(args) -> int:
@@ -160,11 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     q = subs.add_parser("query", help="run one experiment config")
-    _add_run_flags(q, grid=False)
+    _add_run_flags(q, grid=False, trials=1)
     q.set_defaults(func=_cmd_query)
 
     b = subs.add_parser("bench", help="run a (n, k, eps) grid of experiments")
-    _add_run_flags(b, grid=True)
+    _add_run_flags(b, grid=True, trials=3)
     b.add_argument("--require-success-rate", type=float, default=None,
                    help="exit 1 if any grid point's theorem-form or proof-form "
                         "success rate is lower")

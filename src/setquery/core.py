@@ -31,10 +31,17 @@ def is_power_of_two(n: int) -> bool:
 
 
 def query_array(query_set, n: int) -> np.ndarray:
-    """The query set as a sorted, duplicate-free int64 array inside [0, n)."""
-    S = np.unique(np.array([int(t) for t in query_set], dtype=np.int64))
+    """The query set as a sorted, duplicate-free int64 array inside [0, n).
+
+    Frequencies must be integers: a float, bool or string set raises
+    ``TypeError`` rather than being truncated.
+    """
+    S = np.asarray(list(query_set))  # list() so a Python set converts too
     if S.size == 0:
         raise ValueError("query set must be nonempty")
+    if not np.issubdtype(S.dtype, np.integer):
+        raise TypeError(f"query frequencies must be integers, got dtype {S.dtype}")
+    S = np.unique(S.astype(np.int64))
     if S[0] < 0 or S[-1] >= n:
         raise IndexError("query frequency out of range")
     return S

@@ -7,13 +7,14 @@ Gaussian whose standard deviation is sized so that the smoothed box is within
 ``delta/4`` of 1 across the flat region ``|i| <= (1-alpha)*n/(2B)`` and within
 ``delta/4`` of 0 beyond ``n/(2B)``.  The time-domain window is the inverse
 unitary FFT of that target (a periodic-sinc times a Gaussian), truncated to
-the smallest symmetric support whose discarded l1 mass keeps the worst-case
-frequency deviation under ``delta/2``.  Total worst-case deviation between
-the built window's spectrum and the idealized clamped response is therefore
-under ``delta``, and is re-measured exactly, at every one of the n
-frequencies, by an n-point FFT before a filter is ever returned: a window
-failing any declared property raises instead of leaking out.  Built and
-loaded filters go through the same construction and check.
+the shortest prefix of the offset order 0, +1, -1, +2, -2, ... whose
+discarded l1 mass keeps the worst-case frequency deviation under
+``delta/2``, so the kept offsets are [-R, R], [-R, R+1] or all n.  Total
+worst-case deviation between the built window's spectrum and the idealized
+clamped response is therefore under ``delta``, and is re-measured exactly,
+at every one of the n frequencies, by an n-point FFT before a filter is ever
+returned: a window failing any declared property raises instead of leaking
+out.  Built and loaded filters go through the same construction and check.
 
 The idealized response ``response(i)`` is exactly 1 on the flat region,
 exactly 0 at and beyond ``n/(2B)``, and the clamped smoothed-box value in the
@@ -46,7 +47,7 @@ __all__ = [
 
 # Support cap multiplier in units of B*log(n/delta)/alpha; generous relative
 # to the ~1.2 the Gaussian construction needs, so organic builds never hit it.
-DEFAULT_SUPPORT_BUDGET_CONST = 4.0
+SUPPORT_BUDGET_CONST = 4.0
 
 
 class FilterBuildError(RuntimeError):
@@ -104,9 +105,10 @@ def _check_params(n, buckets, delta, alpha) -> tuple[int, int]:
 class FilterPair:
     """Time-sparse window plus its evaluable idealized frequency response.
 
-    ``offsets`` are signed time indices (symmetric around 0) and ``taps`` the
-    real window values there; the window is zero elsewhere.  ``leakage`` is
-    the measured ``max_i |DFT(G)_i - response(i)|`` over all n frequencies.
+    ``offsets`` are sorted signed time indices forming one run, [-R, R] or
+    [-R, R+1] (all n when the window is dense), and ``taps`` the real window
+    values there; the window is zero elsewhere.  ``leakage`` is the measured
+    ``max_i |DFT(G)_i - response(i)|`` over all n frequencies.
     """
 
     n: int
@@ -200,17 +202,11 @@ def _verified_filter(n, buckets, delta, alpha, offsets, taps, source: str) -> Fi
     return replace(fp, leakage=leakage)
 
 
-def build_filter(
-    n: int,
-    buckets: int,
-    delta: float,
-    alpha: float,
-    support_budget_const: float = DEFAULT_SUPPORT_BUDGET_CONST,
-) -> FilterPair:
+def build_filter(n: int, buckets: int, delta: float, alpha: float) -> FilterPair:
     """Construct and verify a flat-window filter for (n, B, delta, alpha).
 
     Raises :class:`FilterBuildError` if the required support exceeds the
-    budget ``support_budget_const * B * log(n/delta) / alpha`` or if the
+    budget ``SUPPORT_BUDGET_CONST * B * log(n/delta) / alpha`` or if the
     measured leakage ends up above ``delta``.
     """
     n, B = _check_params(n, buckets, delta, alpha)
@@ -219,7 +215,7 @@ def build_filter(
     target = _smoothed_box(radius.astype(np.float64), *_shape(n, B, delta, alpha))
     g_full = fft_raw(target, inverse=True).real / np.sqrt(n)
 
-    order = np.argsort(radius, kind="stable")
+    order = np.argsort(radius, kind="stable")  # offsets 0, +1, -1, +2, -2, ...
     # l1 mass strictly outside each candidate radius bounds the truncation's
     # worst-case frequency deviation after the 1/sqrt(n) unitary scale.  The
     # target is a small fraction of delta so the measured deviation stays
@@ -231,7 +227,7 @@ def build_filter(
     ok = tail_after / np.sqrt(n) <= delta / 50.0
     cut = int(np.argmax(ok))  # smallest prefix of the radius ordering that works
 
-    budget = min(n, int(np.ceil(support_budget_const * B * np.log(n / delta) / alpha)))
+    budget = min(n, int(np.ceil(SUPPORT_BUDGET_CONST * B * np.log(n / delta) / alpha)))
     needed = cut + 1
     if needed > budget:
         achieved = float(tail_after[budget - 1] / np.sqrt(n) + delta / 2.0)

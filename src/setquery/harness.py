@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .filters import FilterCache, build_filter
 from .permutation import permute_time_many, permuted_frequency, random_params
 from .query import compute_schedule, set_query
 from .verification import (
+    EventStats,
     check_complex_expectation,
     check_omega_sum,
     check_pairwise_expectation,
@@ -55,7 +56,6 @@ __all__ = [
     "run_experiment",
     "ClaimCheck",
     "run_verification_suite",
-    "records_to_jsonl",
     "summary_to_csv",
 ]
 
@@ -118,7 +118,7 @@ def generate_signal(
     n: int,
     k: int,
     rng: np.random.Generator,
-    noise_sigma: float = 0.01,
+    noise_sigma: float = ExperimentConfig.noise_sigma,
     near_bucket_width: int | None = None,
 ) -> tuple[Signal, np.ndarray, np.ndarray]:
     """Synthesize (signal, exact spectrum, planted support).
@@ -186,21 +186,9 @@ class TrialRecord:
     iterations: tuple[dict, ...] = field(default_factory=tuple)
 
     def to_json_dict(self) -> dict:
-        d = {
-            "trial": self.trial,
-            "seed": self.seed,
-            "error_lhs": self.error_lhs,
-            "error_rhs_theorem": self.error_rhs_theorem,
-            "error_rhs_proof": self.error_rhs_proof,
-            "success_theorem": self.success_theorem,
-            "success_proof": self.success_proof,
-            "samples": self.samples,
-            "clamped": self.clamped,
-            "unresolved": self.unresolved,
-            "iterations": list(self.iterations),
-        }
-        if self.wall_time_ns is not None:
-            d["wall_time_ns"] = self.wall_time_ns
+        d = asdict(self)
+        if self.wall_time_ns is None:
+            del d["wall_time_ns"]
         return d
 
 
@@ -211,7 +199,10 @@ class ExperimentResult:
     summary: dict
 
     def to_jsonl(self) -> str:
-        return records_to_jsonl(self.records, self.summary)
+        """One JSON line per trial record, then the summary line."""
+        lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in self.records]
+        lines.append(json.dumps({"summary": self.summary}, sort_keys=True))
+        return "\n".join(lines) + "\n"
 
 
 def error_sides(
@@ -337,12 +328,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "samples_max": int(samples.max()),
         "clamped_fraction": float(np.mean([r.clamped for r in records])),
         "unresolved_mean": float(np.mean([r.unresolved for r in records])),
+        # what the config measures, without the fields that control the run
         "config": {
-            "n": config.n, "k": config.k, "eps": config.eps,
-            "delta": config.delta, "gamma": config.gamma,
-            "const_c": config.const_c, "alpha_const": config.alpha_const,
-            "seed": config.seed, "signal_model": config.signal_model,
-            "noise_sigma": config.noise_sigma, "query_model": config.query_model,
+            k: v for k, v in asdict(config).items()
+            if k not in ("trials", "threads", "include_timing")
         },
     }
     if config.include_timing:
@@ -351,12 +340,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         summary["wall_time_ns_p90"] = float(np.percentile(times, 90))
         summary["wall_time_ns_max"] = float(times.max())
     return ExperimentResult(config=config, records=records, summary=summary)
-
-
-def records_to_jsonl(records, summary) -> str:
-    lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in records]
-    lines.append(json.dumps({"summary": summary}, sort_keys=True))
-    return "\n".join(lines) + "\n"
 
 
 def summary_to_csv(summaries: list[dict]) -> str:
@@ -381,6 +364,11 @@ class ClaimCheck:
     bound: float
     std_err: float = 0.0
     details: str = ""
+
+    @classmethod
+    def of(cls, name: str, stats: EventStats) -> "ClaimCheck":
+        """The check that a Monte Carlo event rate is within its bound."""
+        return cls(name, stats.within_bound, stats.rate, stats.bound, stats.std_err)
 
     def line(self) -> str:
         tag = "pass" if self.passed else "FAIL"
@@ -440,22 +428,12 @@ def run_verification_suite(
         for size in (4, 8, 16):
             S = rng.choice(n, size=size, replace=False)
             st = event_rate("collision", int(S[0]), S, n, B, trials, rng)
-            checks.append(
-                ClaimCheck(
-                    f"collision-B{B}-S{size}", st.within_bound, st.rate,
-                    st.bound, st.std_err,
-                )
-            )
+            checks.append(ClaimCheck.of(f"collision-B{B}-S{size}", st))
     n_off = 1 << 16
     for B in (32, 64, 128):
         for alpha in (1 / 8, 1 / 16):
             st = event_rate("offset", 1, [1], n_off, B, trials, rng, alpha=alpha)
-            checks.append(
-                ClaimCheck(
-                    f"offset-B{B}-a{alpha:g}", st.within_bound, st.rate,
-                    st.bound, st.std_err,
-                )
-            )
+            checks.append(ClaimCheck.of(f"offset-B{B}-a{alpha:g}", st))
     resid = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.05
     spikes = rng.choice(n, size=2, replace=False)
     resid[spikes] += 3.0
@@ -466,20 +444,11 @@ def run_verification_suite(
                 "noise", int(S[0]), S, n, B, trials, rng,
                 alpha=alpha, residual_spectrum=resid, k=2,
             )
-            checks.append(
-                ClaimCheck(
-                    f"noise-B{B}-a{alpha:g}", st.within_bound, st.rate,
-                    st.bound, st.std_err,
-                )
-            )
+            checks.append(ClaimCheck.of(f"noise-B{B}-a{alpha:g}", st))
 
     # union-bound composition: isolation failure rate <= 6*alpha
     st = well_isolated_rate(int(S[0]), S, resid, n, 64, 1 / 8, 2, 2000, rng)
-    checks.append(
-        ClaimCheck(
-            "well-isolated-union", st.within_bound, st.rate, st.bound, st.std_err
-        )
-    )
+    checks.append(ClaimCheck.of("well-isolated-union", st))
 
     # expectation identities
     mean, target, se = check_pairwise_expectation(rng.standard_normal(16), 10**5, rng)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .core import is_power_of_two, query_array, tail_norm
 from .filters import flat_edge
-from .permutation import PermutationParams, bucket_index, bucket_offset, random_params
+from .permutation import PermutationParams, bucket_index, bucket_offset
 
 __all__ = [
     "EventStats",
@@ -91,7 +91,7 @@ def is_collision(t: int, query_set, p: PermutationParams, buckets: int):
 
     One boolean per draw when ``p`` holds a batch of draws.
     """
-    S, t = query_array(query_set, p.n), int(t)
+    S, (t,) = query_array(query_set, p.n), query_array([t], p.n)
     if t not in S:
         raise ValueError("t must belong to the query set")
     h = bucket_index(p, buckets, S)
@@ -135,6 +135,28 @@ def is_large_noise(
     return (lhs >= rhs) & (rhs > 0.0)
 
 
+def _batched_rate(
+    happens, n: int, trials: int, rng: np.random.Generator, bound: float
+) -> EventStats:
+    """Count the draws where ``happens(p)`` holds over fresh (sigma, b) draws.
+
+    ``happens`` takes a batch of draws and returns one boolean per draw.
+    """
+    if trials < 1000:
+        raise ValueError("need at least 1000 trials for a meaningful rate")
+    if not is_power_of_two(n):
+        raise ValueError(f"n must be a power of two, got {n}")
+    sigma = rng.integers(0, max(n // 2, 1), size=trials) * 2 + 1
+    b = rng.integers(0, n, size=trials)
+    hits = 0
+    # batched over trials to bound the draws x indices intermediates
+    batch = max(1, (1 << 22) // n)
+    for lo in range(0, trials, batch):
+        p = PermutationParams(sigma[lo : lo + batch, None], 0, b[lo : lo + batch, None], n)
+        hits += int(np.count_nonzero(happens(p=p)))
+    return EventStats(trials=trials, hits=hits, bound=bound)
+
+
 def event_rate(
     event: str,
     t: int,
@@ -153,15 +175,7 @@ def event_rate(
     attached is the claimed 4|S|/B, alpha, or 4*alpha respectively.  The rate
     is the mean of the event's ``is_*`` predicate over batches of draws.
     """
-    if trials < 1000:
-        raise ValueError("need at least 1000 trials for a meaningful rate")
-    if not is_power_of_two(n):
-        raise ValueError(f"n must be a power of two, got {n}")
     S = query_array(query_set, n)
-
-    sigma = rng.integers(0, max(n // 2, 1), size=trials) * 2 + 1
-    b = rng.integers(0, n, size=trials)
-
     if event == "collision":
         happens = partial(is_collision, t, S, buckets=buckets)
         bound = 4.0 * S.size / buckets
@@ -179,13 +193,7 @@ def event_rate(
         bound = 4.0 * float(alpha)
     else:
         raise ValueError(f"unknown event {event!r}")
-    hits = 0
-    # batched over trials to bound the draws x indices intermediates
-    batch = max(1, (1 << 22) // n)
-    for lo in range(0, trials, batch):
-        p = PermutationParams(sigma[lo : lo + batch, None], 0, b[lo : lo + batch, None], n)
-        hits += int(np.count_nonzero(happens(p=p)))
-    return EventStats(trials=trials, hits=hits, bound=bound)
+    return _batched_rate(happens, n, trials, rng, bound)
 
 
 def well_isolated_rate(
@@ -204,17 +212,15 @@ def well_isolated_rate(
     The returned stats count isolation *failures* with bound 6*alpha, so the
     usual ``within_bound`` reading applies.
     """
-    resid = np.asarray(residual_spectrum, dtype=np.complex128)
-    hits = 0
-    for _ in range(trials):
-        p = random_params(rng, n)
-        bad = (
+
+    def fails(p: PermutationParams):
+        return (
             is_collision(t, query_set, p, buckets)
-            or is_large_offset(t, p, buckets, alpha)
-            or is_large_noise(t, query_set, resid, p, buckets, alpha, k)
+            | is_large_offset(t, p, buckets, alpha)
+            | is_large_noise(t, query_set, residual_spectrum, p, buckets, alpha, k)
         )
-        hits += int(bad)
-    return EventStats(trials=trials, hits=hits, bound=6.0 * alpha)
+
+    return _batched_rate(fails, n, trials, rng, 6.0 * alpha)
 
 
 def check_pairwise_expectation(

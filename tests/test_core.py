@@ -13,6 +13,7 @@ from setquery.core import (
     fft,
     inverse_dft_oracle,
     inverse_fft,
+    query_array,
     restrict,
     tail_norm,
 )
@@ -158,6 +159,27 @@ def _read_concurrently(reader, blocks):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+
+
+class TestQueryArray:
+    @pytest.mark.parametrize("query_set", [
+        [1.5, 2.9, "7"], [0.6], np.array([3.0]), ["3"], [True, False], {1.5},
+    ])
+    def test_rejects_non_integer_frequencies(self, query_set):
+        with pytest.raises(TypeError):
+            query_array(query_set, 16)
+
+    @pytest.mark.parametrize("query_set", [
+        [5, 2, 2], np.array([5, 2], dtype=np.int64), {2, 5},
+    ])
+    def test_accepts_integer_frequencies(self, query_set):
+        S = query_array(query_set, 16)
+        assert S.dtype == np.int64 and S.tolist() == [2, 5]
+
+    def test_empty_set_is_value_error(self):
+        for empty in ([], set(), np.array([])):
+            with pytest.raises(ValueError, match="nonempty"):
+                query_array(empty, 16)
 
 
 class TestSignal:

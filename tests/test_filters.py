@@ -1,7 +1,9 @@
+import importlib.util
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,17 @@ from setquery.filters import (
     load_filter,
     save_filter,
 )
+from setquery.query import compute_schedule
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestBuildValidation:
@@ -32,9 +45,10 @@ class TestBuildValidation:
         with pytest.raises(ValueError):
             build_filter(1024, 1, 1e-3, 0.25)
 
-    def test_budget_failure_reports_leakage(self):
+    def test_budget_failure_reports_leakage(self, monkeypatch):
+        monkeypatch.setattr(filters, "SUPPORT_BUDGET_CONST", 0.02)
         with pytest.raises(FilterBuildError) as err:
-            build_filter(1024, 32, 1e-3, 0.25, support_budget_const=0.02)
+            build_filter(1024, 32, 1e-3, 0.25)
         assert err.value.achieved_leakage is not None
         assert err.value.achieved_leakage > 1e-3
 
@@ -107,6 +121,25 @@ class TestMeasuredSpectrum:
         budget = 4.0 * fp.buckets * np.log(fp.n / fp.delta) / fp.alpha
         assert fp.support_size <= budget
         assert fp.support_constant <= 4.0
+
+    def test_offsets_form_one_run(self, filter_cache):
+        # every filter the benchmark's schedules build, and one with an even
+        # tap count: the kept taps are a prefix of 0, +1, -1, +2, -2, ...
+        workloads = load_perfbench_workloads()
+        keys = [(1 << 16, 64, 1e-3, 0.25)]
+        for wl in workloads.WORKLOADS.values():
+            p = wl.profile
+            schedule = compute_schedule(
+                wl.k, workloads.EPS, p["delta"], wl.n, p["gamma"], p["const_c"],
+                p["alpha_const"],
+            )
+            keys += [(wl.n, row.buckets, p["delta"], row.alpha) for row in schedule.rows]
+        assert len(keys) == 7
+        for key in keys:
+            fp = filter_cache.get(*key)
+            R = -int(fp.offsets[0])
+            assert np.array_equal(fp.offsets, np.arange(-R, fp.support_size - R)), key
+            assert fp.support_size in (2 * R + 1, 2 * R + 2, fp.n), key
 
     def test_degenerate_full_bucket_count(self, filter_cache):
         # B = n: width-1 buckets; the window is flat and numerically exact

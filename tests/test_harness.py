@@ -170,6 +170,14 @@ class TestCli:
         assert summary["success_rate_theorem"] < 0.9
         assert code == 1
 
+    def test_bench_gate_rejects_bad_input(self, capsys):
+        grid = ["bench", "--n", "256", "--k", "4", "--eps", "0.5", "--trials", "1"]
+        for rate in ["nan", "-0.5", "1.5", "inf"]:
+            assert main(grid + ["--require-success-rate", rate]) == 2, rate
+        for flag in ["--n", "--k", "--eps"]:
+            assert main(grid + [flag, ""]) == 2, flag
+        assert capsys.readouterr().out == ""
+
     def test_query_writes_jsonl(self, tmp_path):
         out = tmp_path / "records.jsonl"
         code = main([

@@ -251,6 +251,8 @@ class TestSetQuery:
             set_query(x, [], eps=0.5, delta=1e-3, rng=rng, filters=filter_cache)
         with pytest.raises(IndexError):
             set_query(x, [256], eps=0.5, delta=1e-3, rng=rng, filters=filter_cache)
+        with pytest.raises(TypeError):
+            set_query(x, [0.6], eps=0.5, delta=1e-3, rng=rng, filters=filter_cache)
         with pytest.raises(ValueError):
             set_query(x, [1], eps=0.5, delta=2.0, rng=rng, filters=filter_cache)
 

@@ -38,6 +38,11 @@ class TestCollisionPredicate:
         with pytest.raises(ValueError):
             is_collision(3, [1, 2], p, 8)
 
+    def test_rejects_non_integer_t(self):
+        p = PermutationParams(sigma=1, a=0, b=0, n=64)
+        with pytest.raises(TypeError):
+            is_collision(1.5, [1, 2], p, 8)
+
 
 class TestOffsetPredicate:
     def test_zero_offset_is_small(self):
@@ -154,6 +159,8 @@ class TestWellIsolated:
         st = well_isolated_rate(int(S[0]), S, resid, n, B, alpha, 2, 1500, rng)
         # failure rate within 6*alpha (+3 binomial SEs)
         assert st.within_bound
+        with pytest.raises(ValueError, match="1000 trials"):
+            well_isolated_rate(int(S[0]), S, resid, n, B, alpha, 2, 10, rng)
 
 
 class TestPairwiseExpectation:
