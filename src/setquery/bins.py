@@ -3,23 +3,26 @@
 The bin vector is the permuted spectrum seen through the flat window,
 subsampled at the B bucket centers:
 
-    u[j] ~= sum_{h(i)=j} (xhat - zhat)[i] * response(-o(i)) * exp(-2j*pi*sigma*a*i/n)
+    u[j] ~= sum_{h(i)=j} (xhat - zhat)[i] * response(-o(i)) * modulation(p, i)
 
-up to ``delta * l1(xhat)`` per bin.  Subsampling the spectrum of the windowed
-product at stride n/B equals aliasing the time-domain product into B samples
-and taking a B-point transform, which is what keeps the whole call at
+up to ``delta * l1(xhat)`` per bin, with ``modulation(p, i)`` the
+permutation's phase ``exp(-2j*pi*sigma*a*i/n)`` from
+:func:`~setquery.permutation.modulation`.  Subsampling the spectrum of the
+windowed product at stride n/B equals aliasing the time-domain product into B
+samples and taking a B-point transform, which is what keeps the whole call at
 O(|supp(G)| + B log B) instead of an n-point transform.  Under the unitary
 signal convention the correct bin scale comes from the *unnormalized*
 B-point FFT of the folded product; that factor is pinned by an oracle
 calibration test at n=64.
 
-The running estimate zhat is subtracted exactly: each support coordinate of
-zhat contributes to at most one bin, since the idealized response vanishes at
-and beyond half a bucket width.
+The running estimate zhat is subtracted exactly, with the same phase: each
+support coordinate of zhat contributes to at most one bin, since the
+idealized response vanishes at and beyond half a bucket width.
 
 Per tap the call does a few integer operations, one counted read, and one
-phase looked up by :func:`~setquery.permutation.twiddle`.  B divides the
-power-of-two n, so the fold into bins is a mask ``& (B-1)``, not a division.
+phase looked up by :func:`~setquery.permutation.twiddle`.  A filter is only
+built for a B that divides the power-of-two n, so the fold into bins is a
+mask ``& (B-1)``, not a division.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .permutation import (
     PermutationParams,
     bucket_index,
     bucket_offset,
+    modulation,
     permute_time_many,
-    twiddle,
 )
 
 __all__ = ["hash_to_bins"]
@@ -57,24 +60,22 @@ def hash_to_bins(
     if z is not None and z.n != n:
         raise ValueError(f"estimate has n={z.n}, signal has n={n}")
     B = fp.buckets
-    if n % B != 0:
-        raise ValueError(f"bucket count {B} must divide n={n}")
 
     y = fp.taps * permute_time_many(x, p, fp.offsets)
 
     folded = fp.offsets & (B - 1)  # mod B; B divides n, so this is also (offset mod n) mod B
-    u = np.bincount(folded, weights=y.real, minlength=B) + 1j * np.bincount(
-        folded, weights=y.imag, minlength=B
-    )
-    u_hat = fft_raw(u, inverse=False)
+    u_hat = fft_raw(_bin_sums(folded, y, B), inverse=False)
 
     if z is not None and len(z) > 0:
         support = z.support
         coeffs = np.array([z.get(int(s)) for s in support], dtype=np.complex128)
-        phase = twiddle(n, ((p.sigma * p.a) & (n - 1)) * support)
-        contrib = coeffs * fp.response(bucket_offset(p, B, support)) * phase
-        j = bucket_index(p, B, support)
-        u_hat -= np.bincount(j, weights=contrib.real, minlength=B) + 1j * np.bincount(
-            j, weights=contrib.imag, minlength=B
-        )
+        contrib = coeffs * fp.response(bucket_offset(p, B, support)) * modulation(p, support)
+        u_hat -= _bin_sums(bucket_index(p, B, support), contrib, B)
     return u_hat
+
+
+def _bin_sums(bins: np.ndarray, values: np.ndarray, B: int) -> np.ndarray:
+    """Length-B complex vector of the sums of ``values`` falling in each bin."""
+    return np.bincount(bins, weights=values.real, minlength=B) + 1j * np.bincount(
+        bins, weights=values.imag, minlength=B
+    )

@@ -8,6 +8,7 @@ codes: 0 success, 1 acceptance failure, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -119,14 +120,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_filter_info(args) -> int:
-    try:
-        if args.load:
-            fp = load_filter(args.load)
-        else:
-            fp = build_filter(args.n, args.b, args.delta, args.alpha)
-    except FilterBuildError as exc:
-        sys.stderr.write(f"filter build failed: {exc}\n")
-        return EXIT_ACCEPTANCE_FAILURE
+    if args.load:
+        fp = load_filter(args.load)
+    else:
+        fp = build_filter(args.n, args.b, args.delta, args.alpha)
     if args.save:
         save_filter(fp, args.save)
     info = {
@@ -163,10 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=_cmd_bench)
 
     v = subs.add_parser("verify", help="run the probabilistic claim suite")
-    v.add_argument("--n", type=int, default=1024)
-    v.add_argument("--trials", type=int, default=10**4)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--delta", type=float, default=1e-3)
+    d = inspect.signature(run_verification_suite).parameters  # the suite's defaults
+    v.add_argument("--n", type=int, default=d["n"].default)
+    v.add_argument("--trials", type=int, default=d["trials"].default)
+    v.add_argument("--seed", type=int, default=d["seed"].default)
+    v.add_argument("--delta", type=float, default=d["filter_delta"].default)
     v.add_argument("--out", default=None)
     v.set_defaults(func=_cmd_verify)
 
@@ -190,6 +188,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return EXIT_BAD_CONFIG
+    except FilterBuildError as exc:
+        sys.stderr.write(f"filter build failed: {exc}\n")
+        return EXIT_ACCEPTANCE_FAILURE
 
 
 if __name__ == "__main__":

@@ -21,13 +21,9 @@ __all__ = [
     "inverse_fft",
     "tail_norm",
     "restrict",
-    "is_power_of_two",
+    "require_power_of_two",
     "query_array",
 ]
-
-
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def query_array(query_set, n: int) -> np.ndarray:
@@ -47,9 +43,10 @@ def query_array(query_set, n: int) -> np.ndarray:
     return S
 
 
-def _require_power_of_two(n: int) -> None:
-    if not is_power_of_two(n):
-        raise ValueError(f"length must be a power of two, got {n}")
+def require_power_of_two(n: int) -> None:
+    """Raise ``ValueError`` unless n is a positive power of two."""
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"n must be a power of two, got {n}")
 
 
 class Signal:
@@ -75,7 +72,7 @@ class Signal:
         v = np.asarray(values, dtype=np.complex128)
         if v.ndim != 1:
             raise ValueError("signal must be one-dimensional")
-        _require_power_of_two(v.shape[0])
+        require_power_of_two(v.shape[0])
         self.n = int(v.shape[0])
         self._values = v.copy()
         self._values.setflags(write=False)
@@ -119,7 +116,7 @@ class SparseSpectrum:
     __slots__ = ("n", "_entries")
 
     def __init__(self, n: int, entries=None) -> None:
-        _require_power_of_two(n)
+        require_power_of_two(n)
         self.n = int(n)
         self._entries: dict[int, complex] = {}
         if entries is not None:
@@ -159,12 +156,6 @@ class SparseSpectrum:
         for i, c in other.items():
             out.set(i, out.get(i) + c)
         return out
-
-    def restricted(self, indices) -> "SparseSpectrum":
-        keep = {int(i) for i in indices}
-        return SparseSpectrum(
-            self.n, {i: c for i, c in self._entries.items() if i in keep}
-        )
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.n, dtype=np.complex128)
@@ -220,7 +211,7 @@ def fft_raw(x, inverse: bool = False) -> np.ndarray:
     not powers of two.
     """
     v = np.asarray(x, dtype=np.complex128)
-    _require_power_of_two(v.shape[0])
+    require_power_of_two(v.shape[0])
     return np.fft.ifft(v, norm="forward") if inverse else np.fft.fft(v)
 
 

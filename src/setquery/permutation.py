@@ -10,9 +10,9 @@ whose effect on the spectrum is a pure relabeling plus a unit phase:
     DFT(P x)[pi(t)] = xhat[t] * exp(-2j*pi*sigma*a*t/n),   pi(t) = sigma*(t - b) mod n.
 
 That phase sign is fixed here once and for all (validated against the dense
-DFT oracle in the test suite); estimation code must unwind it with the
-conjugate factor ``exp(+2j*pi*sigma*a*t/n)``.  Every such phase is an n-th
-root of unity, read by :func:`twiddle` from two shared O(sqrt n) tables
+DFT oracle in the test suite): :func:`modulation` returns it, and estimation
+code unwinds it by multiplying with its conjugate.  Every such phase is an
+n-th root of unity, read by :func:`twiddle` from two shared O(sqrt n) tables
 rather than recomputed per index.
 
 Mapping ``pi`` composed with rounding to the nearest multiple of ``n/B``
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import is_power_of_two
+from .core import require_power_of_two
 
 __all__ = [
     "PermutationParams",
@@ -42,6 +42,7 @@ __all__ = [
     "bucket_offset",
     "permute_time_many",
     "twiddle",
+    "modulation",
 ]
 
 
@@ -62,8 +63,7 @@ class PermutationParams:
 
     def __post_init__(self) -> None:
         s, n = self.sigma, self.n
-        if not is_power_of_two(n):
-            raise ValueError(f"n must be a power of two, got {n}")
+        require_power_of_two(n)
         if not (_every((1 <= s) & (s < n)) or n == 1):
             raise ValueError(f"sigma must lie in [1, n), got {s}")
         if not _every(s % 2 == 1):
@@ -79,12 +79,10 @@ def _every(cond) -> bool:
 
 def random_params(rng: np.random.Generator, n: int) -> PermutationParams:
     """Draw sigma uniform over odd residues and a, b uniform over [0, n)."""
-    if not is_power_of_two(n):
-        raise ValueError(f"n must be a power of two, got {n}")
     sigma = int(rng.integers(0, max(n // 2, 1))) * 2 + 1
     a = int(rng.integers(0, n))
     b = int(rng.integers(0, n))
-    return PermutationParams(sigma=sigma % max(n, 2), a=a, b=b, n=n)
+    return PermutationParams(sigma=sigma, a=a, b=b, n=n)
 
 
 def permuted_frequency(p: PermutationParams, i):
@@ -126,8 +124,7 @@ def bucket_offset(p: PermutationParams, buckets: int, i):
 @functools.lru_cache(maxsize=64)  # one entry per power of two up to 2**63
 def _root_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(omega_n**(hi*L), omega_n**lo) for hi < n/L and lo < L = 2**ceil(log2(n)/2)."""
-    if not is_power_of_two(n):
-        raise ValueError(f"n must be a power of two, got {n}")
+    require_power_of_two(n)
     h = n.bit_length() // 2
     hi = np.exp((-2j * np.pi / n) * (np.arange(n >> h, dtype=np.int64) << h))
     lo = np.exp((-2j * np.pi / n) * np.arange(1 << h, dtype=np.int64))
@@ -145,6 +142,11 @@ def twiddle(n: int, e) -> np.ndarray:
     hi, lo = _root_tables(n)
     e = np.asarray(e, dtype=np.int64) & (n - 1)
     return hi[e >> (lo.size.bit_length() - 1)] * lo[e & (lo.size - 1)]
+
+
+def modulation(p: PermutationParams, t) -> np.ndarray:
+    """exp(-2j*pi*sigma*a*t/n), the phase ``xhat[t]`` carries to ``DFT(P x)[pi(t)]``."""
+    return twiddle(p.n, ((p.sigma * p.a) & (p.n - 1)) * t)
 
 
 def permute_time_many(x, p: PermutationParams, indices) -> np.ndarray:

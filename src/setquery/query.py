@@ -34,15 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Signal, SparseSpectrum, is_power_of_two, query_array
+from .core import Signal, SparseSpectrum, query_array, require_power_of_two
 from .bins import hash_to_bins
 from .filters import FilterCache, FilterPair
 from .permutation import (
     PermutationParams,
     bucket_index,
     bucket_offset,
+    modulation,
     random_params,
-    twiddle,
 )
 
 __all__ = [
@@ -98,8 +98,7 @@ def compute_schedule(
     alpha_const: float = PAPER_ALPHA_CONST,
 ) -> Schedule:
     """Geometric per-round parameter schedule; see the module docstring."""
-    if not is_power_of_two(n):
-        raise ValueError(f"n must be a power of two, got {n}")
+    require_power_of_two(n)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0.0 < eps < 1.0:
@@ -119,8 +118,9 @@ def compute_schedule(
         k_i = k * gamma ** (i - 1)
         eps_i = min(eps * (10.0 * gamma) ** i, eps)
         alpha_i = 1.0 / (alpha_const * i**3)
-        b_raw = const_c * k_i / (alpha_i**2 * eps_i)
-        b = min(max(_next_power_of_two(b_raw), 2), n)
+        denom = alpha_i**2 * eps_i  # underflows to 0 for a subnormal eps or tiny alpha
+        b_raw = const_c * k_i / denom if denom > 0.0 else math.inf
+        b = min(max(_next_power_of_two(min(b_raw, n)), 2), n)  # clamp first: b_raw may be inf
         rows.append(
             ScheduleRow(
                 index=i,
@@ -171,8 +171,7 @@ def estimate_values(
     small_offset = np.abs(o) < fp.flat_radius
     resolved = S[alone & small_offset]
 
-    phases = np.conj(twiddle(x.n, ((p.sigma * p.a) & (x.n - 1)) * resolved))
-    values = u_hat[h[alone & small_offset]] * phases
+    values = u_hat[h[alone & small_offset]] * np.conj(modulation(p, resolved))
     w_hat = SparseSpectrum(x.n, dict(zip(resolved.tolist(), values.tolist())))
     return w_hat, resolved, p, u_hat
 
@@ -221,7 +220,7 @@ def set_query(
 ) -> QueryReport:
     """Estimate the signal's spectrum on ``query_set``.
 
-    Returns the accumulated estimate restricted to the query set together
+    Returns the accumulated estimate, supported on the query set, together
     with this call's distinct-sample count (read through ``x.session()``),
     timing and per-round diagnostics.  With probability at least 9/10 over
     the internal randomness, its l2 error on the set is bounded by the query
@@ -270,10 +269,8 @@ def set_query(
             )
         )
 
-    estimate = z.restricted(S)
-    assert set(int(i) for i, _ in estimate.items()) <= set(S.tolist())
     return QueryReport(
-        estimate=estimate,
+        estimate=z,  # every round adds only resolved members of S
         samples_used=xs.samples_used,
         wall_time_ns=time.perf_counter_ns() - t0,
         schedule=schedule,

@@ -45,7 +45,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import is_power_of_two, query_array, tail_norm
+from .core import query_array, require_power_of_two, tail_norm
 from .filters import flat_edge
 from .permutation import PermutationParams, bucket_index, bucket_offset
 
@@ -144,8 +144,7 @@ def _batched_rate(
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful rate")
-    if not is_power_of_two(n):
-        raise ValueError(f"n must be a power of two, got {n}")
+    require_power_of_two(n)
     sigma = rng.integers(0, max(n // 2, 1), size=trials) * 2 + 1
     b = rng.integers(0, n, size=trials)
     hits = 0
@@ -262,7 +261,6 @@ def check_complex_expectation(x, sigma: int) -> tuple[float, float]:
 
 def check_omega_sum(n: int, i: int) -> complex:
     """(1/n) * sum_a w^(a*i): zero unless i == 0 mod n, where it is one."""
-    if not is_power_of_two(n):
-        raise ValueError(f"n must be a power of two, got {n}")
+    require_power_of_two(n)
     a = np.arange(n, dtype=np.int64)
     return complex(np.mean(np.exp((2j * np.pi / n) * ((a * int(i)) % n))))

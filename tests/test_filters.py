@@ -45,6 +45,12 @@ class TestBuildValidation:
         with pytest.raises(ValueError):
             build_filter(1024, 1, 1e-3, 0.25)
 
+    def test_subnormal_delta_fails_the_leakage_check(self):
+        # n/delta overflows to inf, so the support budget is all n taps; the
+        # dense window's rounding error alone then exceeds delta
+        with pytest.raises(FilterBuildError, match="leaks"):
+            build_filter(1024, 32, 1e-320, 0.25)
+
     def test_budget_failure_reports_leakage(self, monkeypatch):
         monkeypatch.setattr(filters, "SUPPORT_BUDGET_CONST", 0.02)
         with pytest.raises(FilterBuildError) as err:

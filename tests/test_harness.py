@@ -156,6 +156,25 @@ class TestCli:
         assert main(["verify", "--n", "64", "--trials", "1000"]) == 2
         assert "bucket count 128 must divide n=64" in capsys.readouterr().err
 
+    def test_overflowing_schedule_clamps_buckets(self, capsys):
+        args = ["query", "--eps", "1e-310", "--gamma", "0.001", "--const-c", "1000",
+                "--no-timing"]
+        assert main(args) == 0
+        record = json.loads(capsys.readouterr().out.split("\n")[0])
+        assert record["clamped"] and record["iterations"][0]["buckets"] == 4096
+
+    def test_filter_build_failure_exits_1(self, capsys):
+        sampling = ["--n", "16384", "--gamma", "0.0625", "--const-c", "1",
+                    "--alpha-const", "1.25", "--no-timing"]
+        for args in [
+            ["filter-info", "--delta", "1e-320"],
+            ["verify", "--delta", "1e-320"],
+            ["query", "--delta", "1e-300"] + sampling,
+            ["query", "--delta", "1e-320"] + sampling,
+        ]:
+            assert main(args) == 1, args
+            assert capsys.readouterr().err.startswith("filter build failed: "), args
+
     def test_bench_gate_reads_theorem_rate(self, capsys):
         # sampling profile: every proof-form check passes, the theorem form
         # does not (half the query set is unplanted)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,16 @@ class TestSchedule:
         assert r1.eps == pytest.approx(5e-3)
         assert r1.alpha == pytest.approx(1 / 200)
         assert r1.buckets_raw == pytest.approx(6.4e10, rel=1e-9)
+        assert r1.clamped and r1.buckets == 4096
+
+    @pytest.mark.parametrize("eps, alpha_const", [(1e-310, 200.0), (1e-320, 200.0), (0.5, 1e300)])
+    def test_unbounded_raw_buckets_clamp_to_n(self, eps, alpha_const):
+        # raw B_1 overflows to inf (eps=1e-310), or its denominator
+        # alpha_1**2 * eps_1 underflows to zero (the other two)
+        s = compute_schedule(k=8, eps=eps, delta=1e-3, n=4096, gamma=1e-3,
+                             const_c=1000.0, alpha_const=alpha_const)
+        r1 = s.rows[0]
+        assert r1.buckets_raw == math.inf
         assert r1.clamped and r1.buckets == 4096
 
     def test_eps_capped_for_large_gamma(self):
