@@ -254,7 +254,11 @@ def save_filter(fp: FilterPair, path) -> None:
 
 
 def load_filter(path) -> FilterPair:
-    """Read a filter written by :func:`save_filter` and re-verify it."""
+    """Read a filter written by :func:`save_filter` and re-verify it.
+
+    A malformed header, a non-finite tap, or an offset that is not an integer
+    in [-n, n) raises ``ValueError`` before the window is checked.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MAGIC or (len(raw) - 4) % 8 != 0:
@@ -264,11 +268,16 @@ def load_filter(path) -> FilterPair:
         raise ValueError(f"{path} is truncated")
     n, B, delta, alpha = (float(v) for v in values[:4])
     n, B = _check_params(n, B, delta, alpha)
-    pairs = values[4:].reshape(-1, 2)
+    offsets, taps = values[4:].reshape(-1, 2).T
+    if not np.all(np.isfinite(taps)):
+        raise ValueError(f"{path} has a non-finite tap")
+    # NaN fails every comparison, and an integral offset in range casts exactly
+    if not np.all((offsets == np.floor(offsets)) & (-n <= offsets) & (offsets < n)):
+        raise ValueError(f"{path} has an offset that is not an integer in [-{n}, {n})")
     return _verified_filter(
         n, B, delta, alpha,
-        offsets=pairs[:, 0].astype(np.int64),
-        taps=pairs[:, 1].copy(),
+        offsets=offsets.astype(np.int64),
+        taps=taps.copy(),
         source=f"cached filter at {path}",
     )
 

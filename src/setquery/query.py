@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,29 +178,27 @@ def estimate_values(
 
 @dataclass(frozen=True)
 class IterationStats:
-    index: int
-    active: int  # |S_i|
-    resolved: int  # |T_i|
+    """One round's JSONL ``iterations`` entry; its parameters are in ``schedule.rows``."""
+
+    round: int  # 1-based, the schedule row's index
+    active: int  # |S_r|
+    resolved: int  # |T_r|
     buckets: int
-    buckets_raw: float
     clamped: bool
-    alpha: float
-    eps: float
     filter_support: int
-    bins_norm: float
-    estimate_large_offsets: int  # support of zhat hit by a large offset
+    zeta: int  # zhat's support coordinates at a large offset (none in round 1)
 
 
 @dataclass
 class QueryReport:
-    """Outcome of one full set query."""
+    """Outcome of one full set query: the estimate, its charge, one record per round."""
 
     estimate: SparseSpectrum
     samples_used: int  # distinct samples this call read
     wall_time_ns: int
     schedule: Schedule
-    iterations: list[IterationStats] = field(default_factory=list)
-    unresolved: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    iterations: list[IterationStats]
+    unresolved: np.ndarray  # members of S no round resolved
 
     @property
     def clamped_any(self) -> bool:
@@ -249,25 +247,22 @@ def set_query(
         if active.size == 0:
             break
         fp = filters.get(x.n, row.buckets, delta, row.alpha)
-        w_hat, resolved, p, u_hat = estimate_values(xs, z, active, fp, rng)
-        zeta = _large_offset_count(z, p, fp)
-        z = z.plus(w_hat)
-        active = np.setdiff1d(active, resolved, assume_unique=True)
+        w_hat, resolved, p, _ = estimate_values(xs, z, active, fp, rng)
         stats.append(
             IterationStats(
-                index=row.index,
-                active=int(resolved.size + active.size),
+                round=row.index,
+                active=int(active.size),
                 resolved=int(resolved.size),
                 buckets=row.buckets,
-                buckets_raw=row.buckets_raw,
                 clamped=row.clamped,
-                alpha=row.alpha,
-                eps=row.eps,
                 filter_support=fp.support_size,
-                bins_norm=float(np.linalg.norm(u_hat)),
-                estimate_large_offsets=zeta,
+                zeta=int(np.sum(
+                    np.abs(bucket_offset(p, fp.buckets, z.support)) >= fp.flat_radius
+                )),
             )
         )
+        z = z.plus(w_hat)
+        active = np.setdiff1d(active, resolved, assume_unique=True)
 
     return QueryReport(
         estimate=z,  # every round adds only resolved members of S
@@ -278,11 +273,3 @@ def set_query(
         unresolved=active,
     )
 
-
-def _large_offset_count(z: SparseSpectrum, p: PermutationParams, fp: FilterPair) -> int:
-    """Count of zhat support coordinates hit by a large offset this round."""
-    support = z.support
-    if support.size == 0:
-        return 0
-    offs = bucket_offset(p, fp.buckets, support)
-    return int(np.sum(np.abs(offs) >= fp.flat_radius))

@@ -197,6 +197,24 @@ class TestCacheFile:
         with pytest.raises(FilterBuildError):
             load_filter(path)
 
+    @pytest.mark.parametrize("row, col, value", [
+        (10, 1, float("nan")),  # tap: NaN would pass the leakage check
+        (10, 1, float("inf")),
+        (0, 0, -505.5),  # offset: would truncate onto its neighbour
+        (0, 0, 1e30),  # offset: outside [-n, n), would wrap on the cast
+        (0, 0, float("nan")),
+    ])
+    def test_rejects_malformed_pair(self, tmp_path, filter_cache, row, col, value):
+        fp = filter_cache.get(1024, 32, 1e-3, 0.25)
+        pairs = np.column_stack((fp.offsets, fp.taps)).astype("<f8")
+        assert pairs[0, 0] == -506
+        pairs[row, col] = value
+        header = np.array([fp.n, fp.buckets, fp.delta, fp.alpha], dtype="<f8")
+        path = tmp_path / "bad.fil"
+        path.write_bytes(b"SQFL" + header.tobytes() + pairs.tobytes())
+        with pytest.raises(ValueError, match="non-finite tap|not an integer"):
+            load_filter(path)
+
     @pytest.mark.parametrize("header", [
         [1000.0, 8.0, 1e-2, 0.25],  # n not a power of two
         [1024.5, 32.0, 1e-2, 0.25],  # n not integral

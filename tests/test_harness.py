@@ -236,6 +236,20 @@ class TestCli:
         bad.write_bytes(b"SQFL" + header.tobytes())
         assert main(["filter-info", "--load", str(bad)]) == 2
 
+    @pytest.mark.parametrize("row, col, value", [
+        (10, 1, float("nan")), (10, 1, float("inf")), (0, 0, -505.5), (0, 0, 1e30),
+    ])
+    def test_filter_info_malformed_pair_exits_2(self, tmp_path, capsys, row, col, value):
+        cache = tmp_path / "w.fil"
+        assert main(["filter-info", "--n", "1024", "--b", "32", "--save", str(cache),
+                     "--out", str(tmp_path / "info.json")]) == 0
+        raw = cache.read_bytes()
+        values = np.frombuffer(raw, dtype="<f8", offset=4).copy()
+        values[4 + 2 * row + col] = value
+        cache.write_bytes(raw[:4] + values.tobytes())
+        assert main(["filter-info", "--load", str(cache)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_bench_grid_csv(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main([

@@ -1,10 +1,12 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from setquery.core import Signal, SparseSpectrum, inverse_fft, restrict
 from setquery.filters import FilterCache
+from setquery.permutation import PermutationParams, bucket_offset
 from setquery.query import compute_schedule, estimate_values, set_query
 from setquery.verification import is_collision, is_large_offset
 
@@ -318,6 +320,38 @@ class TestIterationStatistics:
             hits += int(after <= (1 + eps_round) * before + allowance)
         rate = hits / trials
         assert rate >= 0.9
+
+
+class TestIterationRecord:
+    def test_zeta_counts_estimate_support_at_large_offsets(self, filter_cache):
+        # k=4, gamma=1/2: two rounds, B=16 at alpha=0.8, then B=512 at alpha=0.1.
+        # Scripted draws: (sigma, a, b) = (1, 0, 0), then (3, 0, 5).
+        n, delta = 16384, 1e-3
+        S = [1024, 3082, 6644, 8212]
+        values = complex_vector(np.random.default_rng(3), n)
+        rep = set_query(Signal(values), S, eps=0.5, delta=delta, gamma=0.5,
+                        const_c=1.0, alpha_const=1.25,
+                        rng=FixedRng([0, 0, 0, 1, 0, 5]), filters=filter_cache)
+        first, second = rep.schedule.rows
+        fp1 = filter_cache.get(n, first.buckets, delta, first.alpha)
+        _, resolved1, _, _ = estimate_values(Signal(values), None, S, fp1,
+                                             FixedRng([0, 0, 0]))
+        assert resolved1.tolist() == [1024, 3082, 8212]  # 6644 sits at offset 500
+
+        fp2 = filter_cache.get(n, second.buckets, delta, second.alpha)
+        p2 = PermutationParams(sigma=3, a=0, b=5, n=n)
+        offsets = bucket_offset(p2, second.buckets, resolved1)
+        zeta = int(np.sum(np.abs(offsets) >= fp2.flat_radius))
+        assert [it.zeta for it in rep.iterations] == [0, zeta]
+        assert zeta == 2  # offsets -15 and 15 against a flat radius of 14.4
+
+        # the record is the JSONL iterations entry; of its row it repeats B and the clamp
+        for row, it in zip(rep.schedule.rows, rep.iterations):
+            assert list(asdict(it)) == [
+                "round", "active", "resolved", "buckets", "clamped",
+                "filter_support", "zeta",
+            ]
+            assert (it.round, it.buckets, it.clamped) == (row.index, row.buckets, row.clamped)
 
 
 class TestReproducibility:
