@@ -35,6 +35,8 @@ def query_array(query_set, n: int) -> np.ndarray:
     S = np.asarray(list(query_set))  # list() so a Python set converts too
     if S.size == 0:
         raise ValueError("query set must be nonempty")
+    if S.ndim != 1:
+        raise ValueError(f"query set must be one-dimensional, got shape {S.shape}")
     if not np.issubdtype(S.dtype, np.integer):
         raise TypeError(f"query frequencies must be integers, got dtype {S.dtype}")
     S = np.unique(S.astype(np.int64))

@@ -106,10 +106,10 @@ def _check_params(n, buckets, delta, alpha) -> tuple[int, int]:
 class FilterPair:
     """Time-sparse window plus its evaluable idealized frequency response.
 
-    ``offsets`` are sorted signed time indices forming one run, [-R, R] or
-    [-R, R+1] (all n when the window is dense), and ``taps`` the real window
-    values there; the window is zero elsewhere.  ``leakage`` is the measured
-    ``max_i |DFT(G)_i - response(i)|`` over all n frequencies.
+    ``offsets`` are sorted signed time indices (a built window's form one run,
+    [-R, R], [-R, R+1] or all n) and ``taps`` the real window values there;
+    the window is zero elsewhere.  ``leakage`` is the measured
+    ``max_i |DFT(G)_i - response(i)|`` over all n frequencies, NaN until then.
     """
 
     n: int
@@ -118,9 +118,7 @@ class FilterPair:
     alpha: float
     offsets: np.ndarray = field(repr=False)
     taps: np.ndarray = field(repr=False)
-    box_radius: float
-    sigma_f: float
-    leakage: float
+    leakage: float = float("nan")
 
     @property
     def support_size(self) -> int:
@@ -142,16 +140,16 @@ class FilterPair:
         return self.n / (2.0 * self.buckets)
 
     def response(self, i):
-        """Idealized response at frequency offset(s) ``i``, taken mod n.
-
-        Piecewise: 1 on the flat region, 0 at and beyond the bucket edge,
-        clamped smoothed-box value in between.
-        """
+        """Idealized response at frequency offset(s) ``i``, taken mod n."""
         d = np.abs(_signed_offset(np.asarray(i), self.n)).astype(np.float64)
-        out = np.clip(_smoothed_box(d, self.box_radius, self.sigma_f), 0.0, 1.0)
-        out = np.where(d <= self.flat_radius, 1.0, out)
-        out = np.where(d >= self.stop_radius, 0.0, out)
+        box = _smoothed_box(d, *_shape(self.n, self.buckets, self.delta, self.alpha))
+        out = self._clamp(box, d)
         return float(out) if out.ndim == 0 else out
+
+    def _clamp(self, box, d):
+        """Response at ``d``: 1 on the flat region, 0 from n/(2B), clipped ``box`` between."""
+        out = np.where(d <= self.flat_radius, 1.0, np.clip(box, 0.0, 1.0))
+        return np.where(d >= self.stop_radius, 0.0, out)
 
     def window_dense(self) -> np.ndarray:
         """Dense length-n copy of the window (verification use).
@@ -161,31 +159,19 @@ class FilterPair:
         return np.bincount(self.offsets % self.n, weights=self.taps, minlength=self.n)
 
 
-def _verified_filter(n, buckets, delta, alpha, offsets, taps, source: str) -> FilterPair:
-    """Assemble a filter and check it at all n frequencies before returning it.
+def _verified_filter(fp: FilterPair, ideal: np.ndarray, source: str) -> FilterPair:
+    """Return ``fp`` with its leakage, checked at all n frequencies.
 
-    Raises :class:`FilterBuildError` if the window's unitary spectrum deviates
-    from the idealized response by more than ``delta`` anywhere.  ``source``
-    names the window in the error message.
+    ``ideal`` is ``fp.response(np.arange(n))``; :class:`FilterBuildError` is
+    raised if the window's unitary spectrum deviates from it by more than
+    ``delta`` anywhere.  ``source`` names the window in the error message.
     """
-    box_radius, sigma_f = _shape(n, buckets, delta, alpha)
-    fp = FilterPair(
-        n=n,
-        buckets=buckets,
-        delta=float(delta),
-        alpha=float(alpha),
-        offsets=offsets,
-        taps=taps,
-        box_radius=box_radius,
-        sigma_f=sigma_f,
-        leakage=float("nan"),
-    )
-    spectrum = fft_raw(fp.window_dense()) / np.sqrt(n)
-    leakage = float(np.max(np.abs(spectrum - fp.response(np.arange(n)))))
-    if leakage > delta:
+    spectrum = fft_raw(fp.window_dense()) / np.sqrt(fp.n)
+    leakage = float(np.max(np.abs(spectrum - ideal)))
+    if leakage > fp.delta:
         raise FilterBuildError(
-            f"{source} leaks {leakage:.3e} > delta={delta} for "
-            f"(n={n}, B={buckets}, delta={delta}, alpha={alpha})",
+            f"{source} leaks {leakage:.3e} > delta={fp.delta} for "
+            f"(n={fp.n}, B={fp.buckets}, delta={fp.delta}, alpha={fp.alpha})",
             achieved_leakage=leakage,
         )
     return replace(fp, leakage=leakage)
@@ -230,12 +216,9 @@ def build_filter(n: int, buckets: int, delta: float, alpha: float) -> FilterPair
 
     keep = order[:needed]
     keep = keep[np.argsort(signed[keep])]
-    return _verified_filter(
-        n, B, delta, alpha,
-        offsets=signed[keep].astype(np.int64),
-        taps=g_full[keep].astype(np.float64),
-        source="constructed window",
-    )
+    offsets, taps = signed[keep].astype(np.int64), g_full[keep].astype(np.float64)
+    fp = FilterPair(n, B, float(delta), float(alpha), offsets, taps)
+    return _verified_filter(fp, fp._clamp(target, radius), "constructed window")
 
 
 _MAGIC = b"SQFL"
@@ -257,7 +240,8 @@ def load_filter(path) -> FilterPair:
     """Read a filter written by :func:`save_filter` and re-verify it.
 
     A malformed header, a non-finite tap, or an offset that is not an integer
-    in [-n, n) raises ``ValueError`` before the window is checked.
+    in [-n, n) raises ``ValueError`` before the window is checked.  Pairs may
+    come in any order; they are sorted by offset (stable) before the check.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -274,12 +258,10 @@ def load_filter(path) -> FilterPair:
     # NaN fails every comparison, and an integral offset in range casts exactly
     if not np.all((offsets == np.floor(offsets)) & (-n <= offsets) & (offsets < n)):
         raise ValueError(f"{path} has an offset that is not an integer in [-{n}, {n})")
-    return _verified_filter(
-        n, B, delta, alpha,
-        offsets=offsets.astype(np.int64),
-        taps=taps.copy(),
-        source=f"cached filter at {path}",
-    )
+    order = np.argsort(offsets, kind="stable")
+    offsets, taps = offsets[order].astype(np.int64), taps[order]
+    fp = FilterPair(n, B, float(delta), float(alpha), offsets, taps)
+    return _verified_filter(fp, fp.response(np.arange(n)), f"cached filter at {path}")
 
 
 class FilterCache:

@@ -159,7 +159,7 @@ def build_query_set(
 ) -> np.ndarray:
     """Choose the size-k query set for a trial under the given model."""
     support = np.asarray(support, dtype=np.int64)
-    free = np.setdiff1d(np.arange(n, dtype=np.int64), support)
+    free = np.delete(np.arange(n, dtype=np.int64), support)
     if query_model == "exact-support":
         return np.sort(support)
     if query_model == "superset":

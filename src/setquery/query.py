@@ -73,13 +73,6 @@ class ScheduleRow:
 
 @dataclass(frozen=True)
 class Schedule:
-    n: int
-    k: int
-    eps: float
-    delta: float
-    gamma: float
-    const_c: float
-    alpha_const: float
     rounds: int
     rows: tuple[ScheduleRow, ...]
 
@@ -132,17 +125,7 @@ def compute_schedule(
                 clamped=b_raw > n,
             )
         )
-    return Schedule(
-        n=n,
-        k=k,
-        eps=eps,
-        delta=delta,
-        gamma=gamma,
-        const_c=const_c,
-        alpha_const=alpha_const,
-        rounds=rounds,
-        rows=tuple(rows),
-    )
+    return Schedule(rounds=rounds, rows=tuple(rows))
 
 
 def estimate_values(

@@ -181,6 +181,11 @@ class TestQueryArray:
             with pytest.raises(ValueError, match="nonempty"):
                 query_array(empty, 16)
 
+    def test_two_dimensional_set_is_value_error(self):
+        # flattening would answer for [1, 2, 3, 4]
+        with pytest.raises(ValueError, match="one-dimensional"):
+            query_array(np.array([[1, 2], [3, 4]]), 16)
+
 
 class TestSignal:
     def test_requires_power_of_two(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from setquery import filters
-from setquery.core import dft_oracle
+from setquery.core import dft_oracle, fft_raw
 from setquery.filters import (
     FilterBuildError,
     FilterCache,
@@ -28,6 +28,19 @@ def load_perfbench_workloads():
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def benchmark_filter_keys():
+    """(n, B, delta, alpha) of every filter the benchmark's schedules build."""
+    workloads = load_perfbench_workloads()
+    keys = []
+    for wl in workloads.WORKLOADS.values():
+        p = wl.profile
+        schedule = compute_schedule(
+            wl.k, workloads.EPS, p["delta"], wl.n, p["gamma"], p["const_c"], p["alpha_const"]
+        )
+        keys += [(wl.n, row.buckets, p["delta"], row.alpha) for row in schedule.rows]
+    return keys
 
 
 class TestBuildValidation:
@@ -147,6 +160,16 @@ class TestMeasuredSpectrum:
             assert np.array_equal(fp.offsets, np.arange(-R, fp.support_size - R)), key
             assert fp.support_size in (2 * R + 1, 2 * R + 2, fp.n), key
 
+    def test_leakage_is_measured_against_the_public_response(self, filter_cache):
+        # the build checks against its own clamped target, which must be
+        # response(arange(n)) bit for bit
+        keys = [(1 << 16, 64, 1e-3, 0.25), *benchmark_filter_keys(), (256, 256, 1e-3, 0.02)]
+        assert len(keys) == 8
+        for key in keys:
+            fp = filter_cache.get(*key)
+            spectrum = fft_raw(fp.window_dense()) / np.sqrt(fp.n)
+            assert fp.leakage == np.max(np.abs(spectrum - fp.response(np.arange(fp.n)))), key
+
     def test_degenerate_full_bucket_count(self, filter_cache):
         # B = n: width-1 buckets; the window is flat and numerically exact
         fp = filter_cache.get(256, 256, 1e-3, 0.02)
@@ -196,6 +219,17 @@ class TestCacheFile:
         path.write_bytes(path.read_bytes() + np.array([0.0, tap0], dtype="<f8").tobytes())
         with pytest.raises(FilterBuildError):
             load_filter(path)
+
+    def test_reversed_pairs_load_sorted(self, tmp_path, filter_cache):
+        fp = filter_cache.get(1024, 32, 1e-3, 0.25)
+        pairs = np.column_stack((fp.offsets, fp.taps)).astype("<f8")[::-1]
+        header = np.array([fp.n, fp.buckets, fp.delta, fp.alpha], dtype="<f8")
+        path = tmp_path / "reversed.fil"
+        path.write_bytes(b"SQFL" + header.tobytes() + pairs.tobytes())
+        got = load_filter(path)
+        assert np.array_equal(got.offsets, fp.offsets)
+        assert np.array_equal(got.taps, fp.taps)
+        assert got.leakage == fp.leakage
 
     @pytest.mark.parametrize("row, col, value", [
         (10, 1, float("nan")),  # tap: NaN would pass the leakage check

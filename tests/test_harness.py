@@ -9,6 +9,7 @@ from setquery.harness import (
     ExperimentConfig,
     build_query_set,
     generate_signal,
+    planted_count,
     run_experiment,
     run_verification_suite,
     summary_to_csv,
@@ -72,6 +73,30 @@ class TestQueryModels:
         S = build_query_set("disjoint", support, 256, 4, rng)
         assert S.size == 4
         assert not set(support.tolist()) & set(S.tolist())
+
+    @pytest.mark.parametrize("query_model, n", [
+        ("exact-support", 1024),
+        ("superset", 1024),
+        ("disjoint", 1024),
+        ("superset", 1 << 18),  # the sampling profile's set-up
+    ])
+    def test_matches_set_difference_reference(self, query_model, n):
+        k = 8
+        _, _, support = generate_signal(
+            "planted-sparse", n, planted_count(query_model, k), np.random.default_rng(7)
+        )
+        S = build_query_set(query_model, support, n, k, np.random.default_rng(8))
+        # the free frequencies as np.setdiff1d computes them
+        rng = np.random.default_rng(8)
+        free = np.setdiff1d(np.arange(n, dtype=np.int64), support)
+        if query_model == "exact-support":
+            want = np.sort(support)
+        elif query_model == "superset":
+            extra = rng.choice(free, size=k - support.size, replace=False)
+            want = np.sort(np.concatenate([support, extra]))
+        else:
+            want = np.sort(rng.choice(free, size=k, replace=False))
+        assert S.dtype == want.dtype and np.array_equal(S, want)
 
 
 class TestRunExperiment:
