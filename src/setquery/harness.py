@@ -159,15 +159,15 @@ def build_query_set(
 ) -> np.ndarray:
     """Choose the size-k query set for a trial under the given model."""
     support = np.asarray(support, dtype=np.int64)
-    free = np.delete(np.arange(n, dtype=np.int64), support)
     if query_model == "exact-support":
         return np.sort(support)
+    if query_model not in QUERY_MODELS:
+        raise ConfigError(f"unknown query model {query_model!r}")
+    free = np.delete(np.arange(n, dtype=np.int64), support)
     if query_model == "superset":
         extra = rng.choice(free, size=k - support.size, replace=False)
         return np.sort(np.concatenate([support, extra]))
-    if query_model == "disjoint":
-        return np.sort(rng.choice(free, size=k, replace=False))
-    raise ConfigError(f"unknown query model {query_model!r}")
+    return np.sort(rng.choice(free, size=k, replace=False))  # disjoint
 
 
 @dataclass(frozen=True)
@@ -294,18 +294,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(config.trials)
 
-    if config.threads == 1:
-        records = [
-            run_trial(config, i, children[i], filters) for i in range(config.trials)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            records = list(
-                pool.map(
-                    lambda i: run_trial(config, i, children[i], filters),
-                    range(config.trials),
-                )
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        records = list(
+            pool.map(
+                lambda i: run_trial(config, i, children[i], filters),
+                range(config.trials),
             )
+        )
 
     samples = np.array([r.samples for r in records])
     summary = {

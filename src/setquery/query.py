@@ -1,12 +1,13 @@
 """Iterative set-query estimation loop.
 
-One round hashes the residual signal into B buckets under a fresh random
-permutation, keeps the queried frequencies that landed alone in a bucket
-with a small in-bucket offset, and reads their coefficients straight off the
-bins.  Resolved frequencies leave the active set; unresolved ones retry in
-the next round with rescheduled (k_i, eps_i, alpha_i, B_i).  Coordinates
-never resolved within the configured rounds keep estimate zero; their mass
-is covered by the error guarantee.
+The loop draws a fresh random permutation each round.  The round hashes the
+residual signal into B buckets under that draw, keeps the queried
+frequencies that landed alone in a bucket with a small in-bucket offset,
+reads their coefficients straight off the bins, and returns the rest of the
+active set as unresolved; those retry in the next round with rescheduled
+(k_i, eps_i, alpha_i, B_i).  Coordinates never resolved within the
+configured rounds keep estimate zero; their mass is covered by the error
+guarantee.
 
 The per-round parameters follow a geometric schedule
 
@@ -133,18 +134,17 @@ def estimate_values(
     z: SparseSpectrum | None,
     query_set,
     fp: FilterPair,
-    rng: np.random.Generator,
-) -> tuple[SparseSpectrum, np.ndarray, PermutationParams, np.ndarray]:
-    """One estimation round: (coefficients, resolved set, params, bins).
+    p: PermutationParams,
+) -> tuple[SparseSpectrum, np.ndarray, np.ndarray]:
+    """One estimation round under the draw p: (coefficients, resolved, unresolved).
 
-    Draws a fresh (sigma, a, b), hashes the residual into bins, and keeps
-    t in the query set iff its bucket holds no other query frequency and its
-    offset stays inside the window's flat region.  The returned spectrum is
-    supported exactly on the resolved set; each value is the bin content with
-    the permutation's modulation phase unwound.
+    Hashes the residual into bins under p and keeps t in the query set iff
+    its bucket holds no other query frequency and its offset stays inside
+    the window's flat region; the rest of the set is returned as unresolved.
+    The returned spectrum is supported exactly on the resolved set; each
+    value is the bin content with the permutation's modulation phase unwound.
     """
     S = query_array(query_set, x.n)
-    p = random_params(rng, x.n)
     u_hat = hash_to_bins(x, z, p, fp)
 
     h = bucket_index(p, fp.buckets, S)
@@ -152,11 +152,12 @@ def estimate_values(
     counts = np.bincount(h, minlength=fp.buckets)
     alone = counts[h] == 1
     small_offset = np.abs(o) < fp.flat_radius
-    resolved = S[alone & small_offset]
+    isolated = alone & small_offset
+    resolved = S[isolated]
 
-    values = u_hat[h[alone & small_offset]] * np.conj(modulation(p, resolved))
+    values = u_hat[h[isolated]] * np.conj(modulation(p, resolved))
     w_hat = SparseSpectrum(x.n, dict(zip(resolved.tolist(), values.tolist())))
-    return w_hat, resolved, p, u_hat
+    return w_hat, resolved, S[~isolated]
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,8 @@ def set_query(
         if active.size == 0:
             break
         fp = filters.get(x.n, row.buckets, delta, row.alpha)
-        w_hat, resolved, p, _ = estimate_values(xs, z, active, fp, rng)
+        p = random_params(rng, x.n)
+        w_hat, resolved, unresolved = estimate_values(xs, z, active, fp, p)
         stats.append(
             IterationStats(
                 round=row.index,
@@ -245,7 +247,7 @@ def set_query(
             )
         )
         z = z.plus(w_hat)
-        active = np.setdiff1d(active, resolved, assume_unique=True)
+        active = unresolved
 
     return QueryReport(
         estimate=z,  # every round adds only resolved members of S

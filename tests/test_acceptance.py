@@ -18,7 +18,14 @@ from setquery.core import (
     inverse_fft,
     restrict,
 )
-from setquery.harness import ExperimentConfig, run_experiment
+from setquery.harness import (
+    ExperimentConfig,
+    build_query_set,
+    error_sides,
+    generate_signal,
+    planted_count,
+    run_experiment,
+)
 from setquery.permutation import (
     bucket_index,
     bucket_offset,
@@ -242,15 +249,18 @@ def test_criterion_6_appendix_identities():
     )
 
 
+# the end-to-end configuration that criteria 7 and 10 judge
+END_TO_END = ExperimentConfig(
+    n=4096, k=8, eps=0.5, delta=1e-3, gamma=0.25, const_c=4.0,
+    alpha_const=200.0, trials=100, seed=707,
+    signal_model="sparse-plus-gaussian", noise_sigma=0.01,
+    query_model="superset",
+)
+
+
 def test_criterion_7_end_to_end_error_bound():
     t0 = time.perf_counter()
-    cfg = ExperimentConfig(
-        n=4096, k=8, eps=0.5, delta=1e-3, gamma=0.25, const_c=4.0,
-        alpha_const=200.0, trials=100, seed=707,
-        signal_model="sparse-plus-gaussian", noise_sigma=0.01,
-        query_model="superset",
-    )
-    res = run_experiment(cfg)
+    res = run_experiment(END_TO_END)
     proof_rate = res.summary["success_rate_proof"]
     theorem_rate = res.summary["success_rate_theorem"]
 
@@ -336,4 +346,39 @@ def test_criterion_9_exact_sparse_recovery(filter_cache):
         f"(worst {worst:.1e})",
         elapsed,
         60,
+    )
+
+
+def test_criterion_10_gate_an_all_zero_estimate_fails():
+    # Criterion 7's proof-form rhs exceeds ||xhat_S||^2 on every trial, so
+    # answering zeros passes it; the theorem form at the same config does not
+    # let zeros through, which makes it the informative end-to-end gate.
+    t0 = time.perf_counter()
+    cfg = END_TO_END
+    res = run_experiment(cfg)
+    theorem_rate = res.summary["success_rate_theorem"]
+
+    zero_passes = []
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    for rec, seed_seq in zip(res.records, seeds):
+        # the trial's truth, rebuilt from its spawned seed as run_trial draws it
+        rng = np.random.default_rng(seed_seq)
+        _, spectrum, support = generate_signal(
+            cfg.signal_model, cfg.n, planted_count(cfg.query_model, cfg.k), rng,
+            noise_sigma=cfg.noise_sigma,
+        )
+        S = build_query_set(cfg.query_model, support, cfg.n, cfg.k, rng)
+        lhs, rhs_t, rhs_p = error_sides(np.zeros(cfg.n), spectrum, S, cfg.eps, cfg.delta)
+        assert (rhs_t, rhs_p) == (rec.error_rhs_theorem, rec.error_rhs_proof)
+        zero_passes.append(lhs <= rhs_t)
+    zero_rate = float(np.mean(zero_passes))
+
+    elapsed = time.perf_counter() - t0
+    verdict(
+        "criterion 10 informative end-to-end gate",
+        theorem_rate >= 0.9 and zero_rate <= 0.1,
+        f"theorem-form rate {theorem_rate:.2f} (>=0.9); all-zero estimate's "
+        f"theorem-form rate {zero_rate:.2f} (<=0.1)",
+        elapsed,
+        120,
     )

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,23 @@ class TestQueryModels:
         S = build_query_set("disjoint", support, 256, 4, rng)
         assert S.size == 4
         assert not set(support.tolist()) & set(S.tolist())
+
+    def test_exact_support_allocates_nothing_of_length_n(self, rng):
+        # the free frequencies (8 bytes each, 8 MiB at this n) are only
+        # built for the models that draw from them
+        support = np.arange(8, dtype=np.int64) * 1000
+        tracemalloc.start()
+        try:
+            S = build_query_set("exact-support", support, 1 << 20, 8, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(S, support)
+        assert peak < 1 << 20
+
+    def test_rejects_unknown_model(self, rng):
+        with pytest.raises(ConfigError):
+            build_query_set("nope", np.arange(4), 256, 4, rng)
 
     @pytest.mark.parametrize("query_model, n", [
         ("exact-support", 1024),

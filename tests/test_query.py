@@ -6,7 +6,7 @@ import pytest
 
 from setquery.core import Signal, SparseSpectrum, inverse_fft, restrict
 from setquery.filters import FilterCache
-from setquery.permutation import PermutationParams, bucket_offset
+from setquery.permutation import PermutationParams, bucket_offset, random_params
 from setquery.query import compute_schedule, estimate_values, set_query
 from setquery.verification import is_collision, is_large_offset
 
@@ -14,7 +14,7 @@ from conftest import complex_vector
 
 
 class FixedRng:
-    """Stands in for a Generator; hands out scripted integers() results."""
+    """Stands in for set_query's Generator; hands out scripted integers() results."""
 
     def __init__(self, values):
         self._values = list(values)
@@ -76,28 +76,31 @@ class TestSchedule:
 
 class TestEstimateValues:
     def test_collision_excludes_both(self, filter_cache):
-        # scripted sigma=1, a=0, b=0: adjacent frequencies share bucket 0
+        # sigma=1, a=0, b=0: adjacent frequencies share bucket 0
         n, B = 1024, 32
         fp = filter_cache.get(n, B, 1e-3, 0.25)
         x = Signal(np.zeros(n))
-        w, resolved, p, _ = estimate_values(x, None, [0, 1], fp, FixedRng([0, 0, 0]))
-        assert p.sigma == 1 and p.a == 0 and p.b == 0
+        p = PermutationParams(sigma=1, a=0, b=0, n=n)
+        w, resolved, unresolved = estimate_values(x, None, [0, 1], fp, p)
         assert resolved.size == 0
+        assert unresolved.tolist() == [0, 1]
         assert len(w) == 0
 
     def test_repeated_frequency_is_one_entry(self, filter_cache):
-        # scripted sigma=1, a=0, b=0: offset 7 sits inside the flat radius 12
+        # sigma=1, a=0, b=0: offset 7 sits inside the flat radius 12
         n, B = 1024, 32
         fp = filter_cache.get(n, B, 1e-3, 0.25)
         x = Signal(np.zeros(n))
-        _, resolved, _, _ = estimate_values(x, None, [7, 7], fp, FixedRng([0, 0, 0]))
+        p = PermutationParams(sigma=1, a=0, b=0, n=n)
+        _, resolved, unresolved = estimate_values(x, None, [7, 7], fp, p)
         assert resolved.tolist() == [7]
+        assert unresolved.size == 0
 
     def test_zero_signal_gives_zero_values(self, rng, filter_cache):
         n, B = 256, 32
         fp = filter_cache.get(n, B, 1e-3, 0.25)
         x = Signal(np.zeros(n))
-        w, resolved, _, _ = estimate_values(x, None, [3, 97, 200], fp, rng)
+        w, resolved, _ = estimate_values(x, None, [3, 97, 200], fp, random_params(rng, n))
         assert all(w.get(int(t)) == 0 for t in resolved)
 
     def test_singleton_estimate_accurate_when_resolved(self, rng, filter_cache):
@@ -110,7 +113,7 @@ class TestEstimateValues:
         hits = 0
         for _ in range(20):
             x = Signal(sig_values)
-            w, resolved, _, _ = estimate_values(x, None, [f], fp, rng)
+            w, resolved, _ = estimate_values(x, None, [f], fp, random_params(rng, n))
             if resolved.size:  # isolated by definition; offset must be small
                 hits += 1
                 assert abs(w.get(f) - xhat[f]) <= delta * np.sum(np.abs(xhat)) + 1e-6
@@ -121,13 +124,14 @@ class TestEstimateValues:
         fp = filter_cache.get(n, B, 1e-3, 0.25)
         x = Signal(complex_vector(rng, n))
         S = rng.choice(n, size=6, replace=False)
-        w, resolved, _, _ = estimate_values(x, None, S, fp, rng)
+        w, resolved, _ = estimate_values(x, None, S, fp, random_params(rng, n))
         assert set(i for i, _ in w.items()) == set(resolved.tolist())
         assert set(resolved.tolist()) <= set(int(s) for s in S)
 
     def test_resolved_set_is_where_no_event_happens(self, filter_cache):
         # the Monte Carlo events are the resolve step's: t resolves iff it
-        # neither collides nor lands at a large offset under the drawn p
+        # neither collides nor lands at a large offset under the given p,
+        # and every other member of S comes back unresolved
         n = 1024
         rng = np.random.default_rng(11)
         x = Signal(complex_vector(rng, n))
@@ -137,7 +141,8 @@ class TestEstimateValues:
             alpha = float(rng.choice([0.25, 0.5]))
             S = rng.choice(n, size=int(rng.integers(1, 24)), replace=False)
             fp = filter_cache.get(n, B, 1e-3, alpha)
-            _, resolved, p, _ = estimate_values(x, None, S, fp, rng)
+            p = random_params(rng, n)
+            _, resolved, unresolved = estimate_values(x, None, S, fp, p)
             expected = []
             for t in sorted(int(t) for t in S):
                 if is_collision(t, S, p, B):
@@ -147,13 +152,14 @@ class TestEstimateValues:
                 else:
                     expected.append(t)
             assert resolved.tolist() == expected
+            assert unresolved.tolist() == sorted(set(S.tolist()) - set(expected))
             dropped["resolved"] += len(expected)
         assert min(dropped.values()) > 0, dropped
 
     def test_rejects_empty_set(self, rng, filter_cache):
         fp = filter_cache.get(256, 32, 1e-3, 0.25)
         with pytest.raises(ValueError):
-            estimate_values(Signal(np.zeros(256)), None, [], fp, rng)
+            estimate_values(Signal(np.zeros(256)), None, [], fp, random_params(rng, 256))
 
 
 class TestSetQuery:
@@ -286,7 +292,7 @@ class TestIterationStatistics:
         sig_values = inverse_fft(xhat)
         for _ in range(trials):
             x = Signal(sig_values)
-            w, resolved, _, _ = estimate_values(x, None, support, fp, rng)
+            w, resolved, _ = estimate_values(x, None, support, fp, random_params(rng, n))
             hits += int(k - resolved.size <= shrink * k)
         rate = hits / trials
         bound = 1 - 10 * alpha / shrink
@@ -305,8 +311,7 @@ class TestIterationStatistics:
             xhat[support] = np.exp(2j * np.pi * rng.random(k))
             xhat += complex_vector(rng, n, scale=0.005)
             x = Signal(inverse_fft(xhat))
-            w, resolved, _, _ = estimate_values(x, None, support, fp, rng)
-            survivors = np.setdiff1d(support, resolved)
+            w, _, survivors = estimate_values(x, None, support, fp, random_params(rng, n))
             resid = xhat - w.to_dense()
             before = np.linalg.norm(
                 xhat - restrict(xhat, support)
@@ -334,8 +339,8 @@ class TestIterationRecord:
                         rng=FixedRng([0, 0, 0, 1, 0, 5]), filters=filter_cache)
         first, second = rep.schedule.rows
         fp1 = filter_cache.get(n, first.buckets, delta, first.alpha)
-        _, resolved1, _, _ = estimate_values(Signal(values), None, S, fp1,
-                                             FixedRng([0, 0, 0]))
+        _, resolved1, _ = estimate_values(Signal(values), None, S, fp1,
+                                          PermutationParams(sigma=1, a=0, b=0, n=n))
         assert resolved1.tolist() == [1024, 3082, 8212]  # 6644 sits at offset 500
 
         fp2 = filter_cache.get(n, second.buckets, delta, second.alpha)

@@ -1,12 +1,21 @@
 """The benchmark tracer's wrap targets still name functions of the package.
 
 ``perfbench/tracer.py`` patches package functions by name from outside; a
-rename would silently drop the per-layer metrics that need the old name.
+rename would silently drop the per-layer metrics that need the old name,
+and a changed call shape would silently change the counts those spans take.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from setquery.core import Signal
+from setquery.filters import FilterCache
+from setquery import query
+
+from conftest import complex_vector
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # dft_oracle left setquery.filters with the O(n^2) filter check, but the
@@ -26,3 +35,25 @@ def test_every_target_resolves():
     tracer = load_tracer()
     absent = {name for name, module, path, _ in tracer.TARGETS if tracer._resolve(module, path) is None}
     assert absent == KNOWN_ABSENT
+
+
+def test_query_path_spans_carry_what_the_benchmark_reads():
+    # k=4 at gamma=1/2 schedules two rounds; at this seed round 1 resolves
+    # 2 of S, round 2 one more, and one stays unresolved
+    tracer = load_tracer()
+    n, S = 1024, [3, 250, 600, 901]
+    x = Signal(complex_vector(np.random.default_rng(0), n))
+    with tracer.Tracer() as tr:
+        # looked up on the module, where the tracer patched it
+        report = query.set_query(x, S, eps=0.5, delta=1e-3, gamma=0.5, const_c=1.0,
+                                 alpha_const=1.25, rng=np.random.default_rng(1),
+                                 filters=FilterCache())
+    rounds = [s for s in tr.spans if s.name == "query.estimate_values"]
+    assert len(rounds) == len(report.iterations) == 2
+    for s in rounds:
+        assert s.counts["resolved"] <= s.counts["active"]
+    assert sum(s.counts["resolved"] for s in rounds) + len(report.unresolved) == len(S)
+
+    (top,) = [i for i, s in enumerate(tr.spans) if s.name == "query.set_query"]
+    draws = [s for s in tr.spans if s.name == "permutation.random_params"]
+    assert len(draws) == len(rounds) and all(s.parent == top for s in draws)
