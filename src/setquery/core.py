@@ -109,7 +109,7 @@ class Signal:
 
 
 class SparseSpectrum:
-    """Map from frequency index to complex coefficient.
+    """Immutable map from frequency index to complex coefficient.
 
     Explicit zeros are never stored, so ``len`` is the support size.  Indices
     must lie in ``[0, n)``.
@@ -124,15 +124,11 @@ class SparseSpectrum:
         if entries is not None:
             items = entries.items() if hasattr(entries, "items") else entries
             for i, c in items:
-                self.set(int(i), complex(c))
-
-    def set(self, i: int, value: complex) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"frequency {i} out of range [0, {self.n})")
-        if value == 0:
-            self._entries.pop(i, None)
-        else:
-            self._entries[i] = complex(value)
+                i, c = int(i), complex(c)
+                if not 0 <= i < self.n:
+                    raise IndexError(f"frequency {i} out of range [0, {self.n})")
+                if c != 0:
+                    self._entries[i] = c
 
     def get(self, i: int) -> complex:
         return self._entries.get(int(i), 0j)
@@ -143,21 +139,9 @@ class SparseSpectrum:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, i: int) -> bool:
-        return int(i) in self._entries
-
     @property
     def support(self) -> np.ndarray:
         return np.array(sorted(self._entries), dtype=np.int64)
-
-    def plus(self, other: "SparseSpectrum") -> "SparseSpectrum":
-        """Entrywise sum; cancellations drop out of the stored support."""
-        if other.n != self.n:
-            raise ValueError("size mismatch")
-        out = SparseSpectrum(self.n, self._entries)
-        for i, c in other.items():
-            out.set(i, out.get(i) + c)
-        return out
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.n, dtype=np.complex128)

@@ -26,7 +26,6 @@ repeat runs; timing fields are the only nondeterministic payload.
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -175,6 +174,7 @@ class TrialRecord:
     trial: int
     seed: int
     error_lhs: float
+    error_baseline: float  # ||xhat_S||^2, the all-zero estimate's lhs
     error_rhs_theorem: float
     error_rhs_proof: float
     success_theorem: bool
@@ -275,6 +275,7 @@ def run_trial(
         trial=trial,
         seed=config.seed,
         error_lhs=lhs,
+        error_baseline=float(np.sum(np.abs(spectrum[S]) ** 2)),
         error_rhs_theorem=rhs_t,
         error_rhs_proof=rhs_p,
         success_theorem=lhs <= rhs_t,
@@ -307,6 +308,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "trials": config.trials,
         "success_rate_theorem": float(np.mean([r.success_theorem for r in records])),
         "success_rate_proof": float(np.mean([r.success_proof for r in records])),
+        # trials an all-zero estimate would pass: there the bound says nothing
+        "vacuous_fraction_theorem": float(
+            np.mean([r.error_baseline <= r.error_rhs_theorem for r in records])
+        ),
+        "vacuous_fraction_proof": float(
+            np.mean([r.error_baseline <= r.error_rhs_proof for r in records])
+        ),
         "samples_min": int(samples.min()),
         "samples_mean": float(samples.mean()),
         "samples_max": int(samples.max()),

@@ -22,6 +22,10 @@ n, in which case B clamps to n and bucketing degenerates to width-1 buckets:
 still correct, just not sublinear; clamped rounds are flagged in the report.
 Practical profiles override gamma, const_c, and alpha_const.
 
+A round whose flat radius (1 - alpha_i) * n / (2 * B_i) is below one sample
+takes B_i = n and is flagged clamped: with so narrow a flat region only
+offset-0 frequencies resolve, while the window already spans all n taps.
+
 eps_i is clamped at eps so configurations with gamma > 1/10, where the
 nominal eps * (10*gamma)**i would grow, stay within the requested accuracy
 budget instead of being rejected.
@@ -37,7 +41,7 @@ import numpy as np
 
 from .core import Signal, SparseSpectrum, query_array, require_power_of_two
 from .bins import hash_to_bins
-from .filters import FilterCache, FilterPair
+from .filters import FilterCache, FilterPair, flat_edge
 from .permutation import (
     PermutationParams,
     bucket_index,
@@ -115,6 +119,7 @@ def compute_schedule(
         denom = alpha_i**2 * eps_i  # underflows to 0 for a subnormal eps or tiny alpha
         b_raw = const_c * k_i / denom if denom > 0.0 else math.inf
         b = min(max(_next_power_of_two(min(b_raw, n)), 2), n)  # clamp first: b_raw may be inf
+        narrow = b < n and flat_edge(n, b, alpha_i) < 1.0  # only offset 0 would resolve
         rows.append(
             ScheduleRow(
                 index=i,
@@ -122,8 +127,8 @@ def compute_schedule(
                 eps=eps_i,
                 alpha=alpha_i,
                 buckets_raw=b_raw,
-                buckets=b,
-                clamped=b_raw > n,
+                buckets=n if narrow else b,
+                clamped=b_raw > n or narrow,
             )
         )
     return Schedule(rounds=rounds, rows=tuple(rows))
@@ -246,7 +251,7 @@ def set_query(
                 )),
             )
         )
-        z = z.plus(w_hat)
+        z = SparseSpectrum(x.n, [*z.items(), *w_hat.items()])  # disjoint supports
         active = unresolved
 
     return QueryReport(

@@ -144,15 +144,7 @@ class TestMeasuredSpectrum:
     def test_offsets_form_one_run(self, filter_cache):
         # every filter the benchmark's schedules build, and one with an even
         # tap count: the kept taps are a prefix of 0, +1, -1, +2, -2, ...
-        workloads = load_perfbench_workloads()
-        keys = [(1 << 16, 64, 1e-3, 0.25)]
-        for wl in workloads.WORKLOADS.values():
-            p = wl.profile
-            schedule = compute_schedule(
-                wl.k, workloads.EPS, p["delta"], wl.n, p["gamma"], p["const_c"],
-                p["alpha_const"],
-            )
-            keys += [(wl.n, row.buckets, p["delta"], row.alpha) for row in schedule.rows]
+        keys = [(1 << 16, 64, 1e-3, 0.25), *benchmark_filter_keys()]
         assert len(keys) == 7
         for key in keys:
             fp = filter_cache.get(*key)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from setquery import harness
 from setquery.cli import main
 from setquery.harness import (
     ConfigError,
@@ -164,6 +165,27 @@ class TestRunExperiment:
             ExperimentConfig(n=256, k=300).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(signal_model="nope").validate()
+
+    @pytest.mark.parametrize("query_model", ["superset", "exact-support"])
+    def test_baseline_is_the_all_zero_estimates_error(self, monkeypatch, query_model):
+        # error_sides sees each trial's truth as run_trial drew it; judge the
+        # all-zero estimate on that same truth
+        error_sides, zero_lhs = harness.error_sides, []
+
+        def spy(estimate, spectrum, S, eps, delta):
+            zero_lhs.append(error_sides(np.zeros_like(spectrum), spectrum, S, eps, delta)[0])
+            return error_sides(estimate, spectrum, S, eps, delta)
+
+        monkeypatch.setattr(harness, "error_sides", spy)
+        cfg = ExperimentConfig(n=1024, k=8, trials=12, seed=4, query_model=query_model,
+                               include_timing=False)
+        res = run_experiment(cfg)
+        got = [r.error_baseline for r in res.records]
+        assert got == pytest.approx(zero_lhs, rel=1e-12)
+        for form in ("theorem", "proof"):
+            rhs = [getattr(r, f"error_rhs_{form}") for r in res.records]
+            want = float(np.mean([b <= r for b, r in zip(got, rhs)]))
+            assert res.summary[f"vacuous_fraction_{form}"] == want
 
     def test_summary_csv_has_config_columns(self):
         cfg = ExperimentConfig(n=256, k=4, trials=2, seed=1)

@@ -4,8 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from setquery.core import Signal, SparseSpectrum, inverse_fft, restrict
-from setquery.filters import FilterCache
+from setquery.core import Signal, inverse_fft, restrict
 from setquery.permutation import PermutationParams, bucket_offset, random_params
 from setquery.query import compute_schedule, estimate_values, set_query
 from setquery.verification import is_collision, is_large_offset
@@ -48,6 +47,14 @@ class TestSchedule:
         r1 = s.rows[0]
         assert r1.buckets_raw == math.inf
         assert r1.clamped and r1.buckets == 4096
+
+    def test_flat_radius_below_one_sample_takes_every_bucket(self):
+        # round 2: raw B = 400 rounds to 512, where alpha = 0.1 leaves a flat
+        # radius of 0.9 samples, so only offset-0 frequencies could resolve
+        s = compute_schedule(k=4, eps=0.5, delta=1e-3, n=1024, gamma=0.5,
+                             const_c=1.0, alpha_const=1.25)
+        assert [(r.buckets, r.clamped) for r in s.rows] == [(16, False), (1024, True)]
+        assert s.rows[1].buckets_raw == pytest.approx(400.0)
 
     def test_eps_capped_for_large_gamma(self):
         # gamma=1/4 would nominally give eps_1 = 1.25; the cap holds it at eps

@@ -39,7 +39,8 @@ def test_every_target_resolves():
 
 def test_query_path_spans_carry_what_the_benchmark_reads():
     # k=4 at gamma=1/2 schedules two rounds; at this seed round 1 resolves
-    # 2 of S, round 2 one more, and one stays unresolved
+    # 2 of S, and round 2, whose flat radius is below one sample at B=512 so
+    # the schedule takes B=n, resolves the other 2
     tracer = load_tracer()
     n, S = 1024, [3, 250, 600, 901]
     x = Signal(complex_vector(np.random.default_rng(0), n))
