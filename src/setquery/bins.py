@@ -20,9 +20,9 @@ support coordinate of zhat contributes to at most one bin, since the
 idealized response vanishes at and beyond half a bucket width.
 
 Per tap the call does a few integer operations, one counted read, and one
-phase looked up by :func:`~setquery.permutation.twiddle`.  A filter is only
-built for a B that divides the power-of-two n, so the fold into bins is a
-mask ``& (B-1)``, not a division.
+phase looked up by :func:`~setquery.permutation.twiddle`.  The bin each tap
+folds into is the filter's :attr:`~setquery.filters.FilterPair.tap_bins`,
+computed once per filter.
 """
 
 from __future__ import annotations
@@ -63,14 +63,12 @@ def hash_to_bins(
 
     y = fp.taps * permute_time_many(x, p, fp.offsets)
 
-    folded = fp.offsets & (B - 1)  # mod B; B divides n, so this is also (offset mod n) mod B
-    u_hat = fft_raw(_bin_sums(folded, y, B), inverse=False)
+    u_hat = fft_raw(_bin_sums(fp.tap_bins, y, B), inverse=False)
 
     if z is not None and len(z) > 0:
-        support = z.support
-        coeffs = np.array([z.get(int(s)) for s in support], dtype=np.complex128)
-        contrib = coeffs * fp.response(bucket_offset(p, B, support)) * modulation(p, support)
-        u_hat -= _bin_sums(bucket_index(p, B, support), contrib, B)
+        s = z.support
+        contrib = z.values * fp.response(bucket_offset(p, B, s)) * modulation(p, s)
+        u_hat -= _bin_sums(bucket_index(p, B, s), contrib, B)
     return u_hat
 
 

@@ -87,12 +87,34 @@ def _run_grid(args, ns, ks, epss, require_rate: float | None = None) -> int:
         _emit(summary_to_csv([r.summary for r in results]), args.out)
     else:
         _emit("".join(r.to_jsonl() for r in results), args.out)
-    failed = require_rate is not None and any(
-        min(r.summary["success_rate_theorem"], r.summary["success_rate_proof"])
-        < require_rate
-        for r in results
-    )
+    if require_rate is None:
+        return EXIT_OK
+    failed = [r for r in results if not _passes(r.summary, require_rate)]
+    for r in failed:
+        s, c = r.summary, r.config
+        sys.stderr.write(
+            f"gate failed at n={c.n} k={c.k} eps={c.eps}: "
+            f"success_rate_theorem={s['success_rate_theorem']} "
+            f"success_rate_proof={s['success_rate_proof']} "
+            f"vacuous_fraction_theorem={s['vacuous_fraction_theorem']} "
+            f"vacuous_fraction_proof={s['vacuous_fraction_proof']}\n"
+        )
     return EXIT_ACCEPTANCE_FAILURE if failed else EXIT_OK
+
+
+def _passes(summary: dict, rate: float) -> bool:
+    """Whether a grid point clears ``--require-success-rate rate``.
+
+    Both success rates must reach ``rate``, and at most ``1 - rate`` of the
+    trials may be ones where the all-zero estimate also meets the theorem
+    form's bound, so the gated rate is not carried by a vacuous bound.  The
+    proof form's vacuous fraction is not gated: its rhs exceeds the
+    all-zero estimate's error on every trial the suite runs.
+    """
+    return (
+        min(summary["success_rate_theorem"], summary["success_rate_proof"]) >= rate
+        and summary["vacuous_fraction_theorem"] <= 1.0 - rate
+    )
 
 
 def _cmd_query(args) -> int:
@@ -156,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(b, grid=True, trials=3)
     b.add_argument("--require-success-rate", type=float, default=None,
                    help="exit 1 if any grid point's theorem-form or proof-form "
-                        "success rate is lower")
+                        "success rate is lower, or its theorem-form vacuous "
+                        "fraction is above 1 - R")
     b.set_defaults(func=_cmd_bench)
 
     v = subs.add_parser("verify", help="run the probabilistic claim suite")

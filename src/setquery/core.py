@@ -26,20 +26,39 @@ __all__ = [
 ]
 
 
+# A read ledger stays a sorted index array while it holds at most
+# n // LEDGER_ARRAY_DIVISOR indices (an eighth of a length-n bool mask's
+# bytes), and is a length-n bool mask past that.
+LEDGER_ARRAY_DIVISOR = 64
+
+
+def _distinct_sorted(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of an ascending array, in order."""
+    if a.size < 2:
+        return a
+    keep = np.empty(a.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a if keep.all() else a[keep]
+
+
 def query_array(query_set, n: int) -> np.ndarray:
     """The query set as a sorted, duplicate-free int64 array inside [0, n).
 
     Frequencies must be integers: a float, bool or string set raises
     ``TypeError`` rather than being truncated.
     """
-    S = np.asarray(list(query_set))  # list() so a Python set converts too
+    # list() so a Python set or other iterable converts too
+    S = query_set if isinstance(query_set, np.ndarray) else np.asarray(list(query_set))
     if S.size == 0:
         raise ValueError("query set must be nonempty")
     if S.ndim != 1:
         raise ValueError(f"query set must be one-dimensional, got shape {S.shape}")
-    if not np.issubdtype(S.dtype, np.integer):
+    if S.dtype.kind not in "iu":  # bool, float, str and object sets are refused
         raise TypeError(f"query frequencies must be integers, got dtype {S.dtype}")
-    S = np.unique(S.astype(np.int64))
+    S = S.astype(np.int64)  # a copy, sorted in place
+    S.sort()
+    S = _distinct_sorted(S)
     if S[0] < 0 or S[-1] >= n:
         raise IndexError("query frequency out of range")
     return S
@@ -51,24 +70,69 @@ def require_power_of_two(n: int) -> None:
         raise ValueError(f"n must be a power of two, got {n}")
 
 
+class _Ledger:
+    """The distinct indices one reader has read, and how many there are.
+
+    ``read`` is a sorted int64 array of them while it holds at most
+    ``n // LEDGER_ARRAY_DIVISOR``; past that ``read`` is None and ``mask``
+    is a length-n bool mask, counted when asked.
+    """
+
+    __slots__ = ("n", "read", "mask", "count")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.read: np.ndarray | None = np.empty(0, dtype=np.int64)
+        self.mask: np.ndarray | None = None
+        self.count: int | None = 0
+
+    def add(self, idx: np.ndarray, distinct: np.ndarray | None) -> None:
+        """Record ``idx`` (in [0, n)); ``distinct`` is its sorted distinct
+        form, or None for a read too long to be held as an array."""
+        if self.read is not None:
+            if distinct is not None:
+                merged = distinct if self.read.size == 0 else _distinct_sorted(
+                    np.sort(np.concatenate((self.read, distinct)), kind="stable")
+                )  # two ascending runs: the stable sort merges them in linear time
+                if merged.size <= self.n // LEDGER_ARRAY_DIVISOR:
+                    self.read, self.count = merged, merged.size
+                    return
+            self.mask = np.zeros(self.n, dtype=bool)
+            self.mask[self.read] = True
+            self.read = None
+        self.mask[idx] = True
+        self.count = None
+
+    def size(self) -> int:
+        if self.count is None:
+            self.count = int(np.count_nonzero(self.mask))
+        return self.count
+
+
 class Signal:
     """Length-n complex time-domain vector behind a sample-counting accessor.
 
-    Reads go through :meth:`read_many`, which marks the indices it touches in
-    a boolean read mask; :attr:`samples_used` is the number of marked indices
-    and is the sample-complexity charge of whatever ran against the signal.
-    The count only grows (multiplicity is free).  Marking is lock-protected
-    so concurrent bucketing calls stay consistent.
+    Reads go through :meth:`read_many`, which records the indices it touches
+    in a read ledger; :attr:`samples_used` is the number of distinct indices
+    recorded and is the sample-complexity charge of whatever ran against the
+    signal.  The count only grows (multiplicity is free).  A ledger is a
+    sorted index array while it holds at most ``n // LEDGER_ARRAY_DIVISOR``
+    indices, so a sublinear reader allocates nothing of length n and its
+    count is the array's length; past that it is a length-n bool mask.
+    Recording is lock-protected so concurrent bucketing calls stay
+    consistent.
 
-    :meth:`session` returns a per-query view with its own mask over the same
-    buffer; its reads also mark the mask of the signal it came from.
+    :meth:`session` returns a per-query view with its own ledger over the
+    same buffer; its reads are also recorded in the ledger of the signal it
+    came from.  Each read is sorted once, and the sorted form is merged into
+    every ledger it goes to.
 
     :attr:`data` exposes the raw buffer for reference transforms and test
     oracles; it deliberately does not count, so dense ground-truth evaluation
     never pollutes the sampling ledger of the algorithm under test.
     """
 
-    __slots__ = ("n", "_values", "_masks", "_lock")
+    __slots__ = ("n", "_values", "_ledgers", "_lock")
 
     def __init__(self, values) -> None:
         v = np.asarray(values, dtype=np.complex128)
@@ -78,29 +142,34 @@ class Signal:
         self.n = int(v.shape[0])
         self._values = v.copy()
         self._values.setflags(write=False)
-        # this signal's own mask first, then those of the signals it views
-        self._masks = (np.zeros(self.n, dtype=bool),)
+        # this signal's own ledger first, then those of the signals it views
+        self._ledgers = (_Ledger(self.n),)
         self._lock = threading.Lock()
 
     def session(self) -> "Signal":
         """A view that counts its own reads and charges them to this signal too."""
         view = object.__new__(Signal)
         view.n, view._values, view._lock = self.n, self._values, self._lock
-        view._masks = (np.zeros(self.n, dtype=bool),) + self._masks
+        view._ledgers = (_Ledger(self.n),) + self._ledgers
         return view
 
     def read_many(self, indices) -> np.ndarray:
         """Vectorized counted read of ``x[i mod n]``; duplicates are charged once."""
         idx = np.asarray(indices, dtype=np.int64) & (self.n - 1)  # mod n; n is a power of two
         with self._lock:
-            for mask in self._masks:
-                mask[idx] = True
+            # A view's reads are a subset of its parents', so its own ledger
+            # is the last to turn into a mask: while it has not, sort once.
+            distinct = None
+            if self._ledgers[0].read is not None and idx.size <= self.n // LEDGER_ARRAY_DIVISOR:
+                distinct = _distinct_sorted(np.sort(idx, axis=None))
+            for ledger in self._ledgers:
+                ledger.add(idx, distinct)
         return self._values[idx]
 
     @property
     def samples_used(self) -> int:
         with self._lock:
-            return int(np.count_nonzero(self._masks[0]))
+            return self._ledgers[0].size()
 
     @property
     def data(self) -> np.ndarray:
@@ -109,51 +178,95 @@ class Signal:
 
 
 class SparseSpectrum:
-    """Immutable map from frequency index to complex coefficient.
+    """Immutable sparse spectrum: coefficients on a sorted support.
 
-    Explicit zeros are never stored, so ``len`` is the support size.  Indices
-    must lie in ``[0, n)``.
+    ``support`` is a read-only ascending int64 array of distinct indices in
+    ``[0, n)`` and ``values`` the read-only complex128 coefficients there.
+    Explicit zeros are never stored, so ``len`` is the support size.
     """
 
-    __slots__ = ("n", "_entries")
+    __slots__ = ("n", "support", "values")
 
     def __init__(self, n: int, entries=None) -> None:
+        """From a mapping or (index, value) pairs; a nonzero value for an
+        index replaces an earlier one, and zeros are dropped."""
         require_power_of_two(n)
-        self.n = int(n)
-        self._entries: dict[int, complex] = {}
+        coeffs: dict[int, complex] = {}
         if entries is not None:
             items = entries.items() if hasattr(entries, "items") else entries
             for i, c in items:
                 i, c = int(i), complex(c)
-                if not 0 <= i < self.n:
-                    raise IndexError(f"frequency {i} out of range [0, {self.n})")
+                if not 0 <= i < n:
+                    raise IndexError(f"frequency {i} out of range [0, {n})")
                 if c != 0:
-                    self._entries[i] = c
+                    coeffs[i] = c
+        order = sorted(coeffs)
+        self._freeze(
+            n,
+            np.array(order, dtype=np.int64),
+            np.array([coeffs[i] for i in order], dtype=np.complex128),
+        )
+
+    def _freeze(self, n: int, support: np.ndarray, values: np.ndarray) -> None:
+        support.setflags(write=False)
+        values.setflags(write=False)
+        self.n, self.support, self.values = int(n), support, values
+
+    @classmethod
+    def from_arrays(cls, n: int, support, values) -> "SparseSpectrum":
+        """From distinct integer indices in ``[0, n)``, in any order, and their values.
+
+        Both arrays are copied; zeros are dropped.  A duplicate index raises
+        ``ValueError`` and an index out of range ``IndexError``.
+        """
+        require_power_of_two(n)
+        s = np.asarray(support)
+        v = np.array(values, dtype=np.complex128)
+        if s.ndim != 1 or s.shape != v.shape:
+            raise ValueError(f"support {s.shape} and values {v.shape} must be 1-D and match")
+        if s.size and s.dtype.kind not in "iu":
+            raise TypeError(f"frequencies must be integers, got dtype {s.dtype}")
+        s = s.astype(np.int64)
+        if s.size > 1 and not (s[1:] > s[:-1]).all():
+            order = np.argsort(s, kind="stable")
+            s, v = s[order], v[order]
+            if (s[1:] == s[:-1]).any():
+                raise ValueError("duplicate frequency in support")
+        if s.size and (s[0] < 0 or s[-1] >= n):
+            raise IndexError(f"frequency out of range [0, {n})")
+        nonzero = v != 0
+        if not nonzero.all():
+            s, v = s[nonzero], v[nonzero]
+        out = object.__new__(cls)
+        out._freeze(n, s, v)
+        return out
 
     def get(self, i: int) -> complex:
-        return self._entries.get(int(i), 0j)
+        i = int(i)
+        if not 0 <= i < self.n:
+            return 0j
+        j = int(np.searchsorted(self.support, i))
+        if j < self.support.size and self.support[j] == i:
+            return complex(self.values[j])
+        return 0j
 
-    def items(self):
-        return self._entries.items()
+    def items(self) -> list[tuple[int, complex]]:
+        """(index, value) pairs as Python numbers, in ascending index order."""
+        return list(zip(self.support.tolist(), self.values.tolist()))
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.array(sorted(self._entries), dtype=np.int64)
+        return int(self.support.size)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.n, dtype=np.complex128)
-        for i, c in self._entries.items():
-            out[i] = c
+        out[self.support] = self.values
         return out
 
     @classmethod
     def from_dense(cls, values, tol: float = 0.0) -> "SparseSpectrum":
         v = np.asarray(values, dtype=np.complex128)
-        nz = np.nonzero(np.abs(v) > tol)[0]
-        return cls(v.shape[0], {int(i): v[i] for i in nz})
+        nz = np.flatnonzero(np.abs(v) > tol)
+        return cls.from_arrays(v.shape[0], nz, v[nz])
 
 
 def _as_vector(x) -> np.ndarray:

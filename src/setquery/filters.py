@@ -29,6 +29,7 @@ The bound published on the support is ``c_f * B * log(n/delta) / alpha``
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -130,6 +131,17 @@ class FilterPair:
         return float(
             self.support_size * self.alpha / (self.buckets * np.log(self.n / self.delta))
         )
+
+    @functools.cached_property
+    def tap_bins(self) -> np.ndarray:
+        """The bin each tap folds into: its offset mod B, read-only.
+
+        A filter is only built for a B that divides the power-of-two n, so
+        this is a mask ``& (B-1)`` and also (offset mod n) mod B.
+        """
+        bins = self.offsets & (self.buckets - 1)
+        bins.setflags(write=False)
+        return bins
 
     @property
     def flat_radius(self) -> float:

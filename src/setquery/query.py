@@ -33,6 +33,7 @@ budget instead of being rejected.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -86,6 +87,7 @@ def _next_power_of_two(x: float) -> int:
     return 1 << max(0, math.ceil(math.log2(max(x, 1.0))))
 
 
+@functools.lru_cache(maxsize=256, typed=True)  # pure; a raise is never cached
 def compute_schedule(
     k: int,
     eps: float,
@@ -95,7 +97,11 @@ def compute_schedule(
     const_c: float = PAPER_CONST_C,
     alpha_const: float = PAPER_ALPHA_CONST,
 ) -> Schedule:
-    """Geometric per-round parameter schedule; see the module docstring."""
+    """Geometric per-round parameter schedule; see the module docstring.
+
+    Memoised: equal arguments of equal types return the same frozen
+    :class:`Schedule` object.
+    """
     require_power_of_two(n)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -161,8 +167,7 @@ def estimate_values(
     resolved = S[isolated]
 
     values = u_hat[h[isolated]] * np.conj(modulation(p, resolved))
-    w_hat = SparseSpectrum(x.n, dict(zip(resolved.tolist(), values.tolist())))
-    return w_hat, resolved, S[~isolated]
+    return SparseSpectrum.from_arrays(x.n, resolved, values), resolved, S[~isolated]
 
 
 @dataclass(frozen=True)
@@ -208,8 +213,13 @@ def set_query(
     """Estimate the signal's spectrum on ``query_set``.
 
     Returns the accumulated estimate, supported on the query set, together
-    with this call's distinct-sample count (read through ``x.session()``),
-    timing and per-round diagnostics.  With probability at least 9/10 over
+    with this call's distinct-sample count, timing and per-round
+    diagnostics.  The estimate is a :class:`SparseSpectrum` whose sorted
+    support and values are arrays; each round's resolved coefficients are
+    merged in as arrays.  The count is read from the ledger of
+    ``x.session()``, which for a sublinear query is a sorted index array of
+    at most ``n // LEDGER_ARRAY_DIVISOR`` reads, so such a query allocates
+    nothing of length n.  With probability at least 9/10 over
     the internal randomness, its l2 error on the set is bounded by the query
     tolerance terms (the mass outside the set scaled by eps plus delta leakage).
     """
@@ -246,12 +256,16 @@ def set_query(
                 buckets=row.buckets,
                 clamped=row.clamped,
                 filter_support=fp.support_size,
-                zeta=int(np.sum(
+                zeta=0 if len(z) == 0 else int(np.sum(
                     np.abs(bucket_offset(p, fp.buckets, z.support)) >= fp.flat_radius
                 )),
             )
         )
-        z = SparseSpectrum(x.n, [*z.items(), *w_hat.items()])  # disjoint supports
+        z = w_hat if len(z) == 0 else SparseSpectrum.from_arrays(  # disjoint supports
+            x.n,
+            np.concatenate((z.support, w_hat.support)),
+            np.concatenate((z.values, w_hat.values)),
+        )
         active = unresolved
 
     return QueryReport(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setquery.core import (
+    LEDGER_ARRAY_DIVISOR,
     Signal,
     SparseSpectrum,
     dft_oracle,
@@ -17,6 +18,8 @@ from setquery.core import (
     restrict,
     tail_norm,
 )
+
+from setquery.query import set_query
 
 from conftest import complex_vector
 
@@ -250,6 +253,76 @@ class TestSignal:
         assert np.allclose(x.read_many([1, 2]), v[[1, 2]])
 
 
+class TestLedger:
+    """A reader's count is the number of distinct ``i mod n`` it has read."""
+
+    N = 1024  # array ledgers hold at most N // LEDGER_ARRAY_DIVISOR = 16 indices
+
+    @staticmethod
+    def _check(readers, seen, n):
+        for name, reader in readers.items():
+            assert reader.samples_used == len(seen[name]), name
+            for ledger in reader._ledgers:  # the memory bound of an array ledger
+                assert ledger.read is None or ledger.read.size <= n // LEDGER_ARRAY_DIVISOR
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_count_after_every_read(self, seed):
+        # duplicates, negative indices, indices >= n, and counts crossing n/64;
+        # the indices come from a pool of 24 residues, so reads overlap often
+        n, gen = self.N, np.random.default_rng(seed)
+        pool = gen.choice(n, size=24, replace=False)
+        x = Signal(np.arange(n, dtype=complex))
+        first, second = x.session(), x.session()
+        readers = {"x": x, "first": first, "second": second}
+        parents = {"x": ["x"], "first": ["first", "x"], "second": ["second", "x"]}
+        seen = {name: set() for name in readers}
+        for _ in range(40):
+            name = str(gen.choice(list(readers)))
+            size = int(gen.integers(0, 8))
+            idx = pool[gen.integers(0, pool.size, size)] + n * gen.integers(-2, 2, size)
+            readers[name].read_many(idx)
+            for charged in parents[name]:
+                seen[charged] |= {int(i) % n for i in idx}
+            self._check(readers, seen, n)
+        assert len(seen["x"]) > n // LEDGER_ARRAY_DIVISOR  # the sequence crossed n/64
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.lists(st.integers(-3000, 3000), max_size=30)),
+                    max_size=10))
+    def test_view_and_parent_count_their_own_reads(self, reads):
+        n = self.N
+        x = Signal(np.arange(n, dtype=complex))
+        view = x.session()
+        seen = {"x": set(), "view": set()}
+        for on_view, idx in reads:
+            (view if on_view else x).read_many(idx)
+            seen["x"] |= {i % n for i in idx}
+            if on_view:
+                seen["view"] |= {i % n for i in idx}
+            self._check({"x": x, "view": view}, seen, n)
+
+    def test_two_sessions_charge_the_parent_their_union(self):
+        n = self.N
+        v = np.arange(n, dtype=complex)
+        for a, b in [([1, 2, 3], [3, 4]), (range(0, 40, 2), range(0, 60, 3)), (range(300), [5])]:
+            x = Signal(v)
+            first, second = x.session(), x.session()
+            assert np.array_equal(first.read_many(list(a)), v[list(a)])
+            second.read_many(list(b))
+            assert first.samples_used == len(set(a))
+            assert second.samples_used == len(set(b))
+            assert x.samples_used == len(set(a) | set(b))
+
+    def test_one_long_read_is_counted_once_per_index(self):
+        n = self.N
+        x = Signal(np.arange(n, dtype=complex))
+        view = x.session()
+        view.read_many(np.tile(np.arange(-5, 5), 30))  # 300 reads of 10 indices
+        assert view.samples_used == x.samples_used == 10
+        view.read_many([n + 4, 7])  # 4 was read already
+        assert view.samples_used == x.samples_used == 11
+
+
 class TestSparseSpectrum:
     def test_no_explicit_zeros(self):
         s = SparseSpectrum(8, {1: 1.0, 2: 0.0})
@@ -268,3 +341,62 @@ class TestSparseSpectrum:
         s = SparseSpectrum.from_dense(v)
         assert len(s) == 2
         assert np.array_equal(s.to_dense(), v)
+
+    @staticmethod
+    def _same(a, b):
+        return (a.n == b.n and np.array_equal(a.support, b.support)
+                and np.array_equal(a.values, b.values) and a.items() == b.items())
+
+    def test_every_construction_agrees(self, filter_cache):
+        n = 1024
+        xhat = np.zeros(n, dtype=complex)
+        xhat[[700, 3, 250, 901]] = [1.0, 2 - 1j, 0.5j, -1.0]
+        rep = set_query(Signal(inverse_fft(xhat)), [3, 250, 600, 700, 901], eps=0.5,
+                        delta=1e-3, gamma=0.25, const_c=4.0,
+                        rng=np.random.default_rng(3), filters=filter_cache)
+        est = rep.estimate
+        assert len(est) > 0
+        pairs = est.items()
+        assert all(type(i) is int and type(c) is complex for i, c in pairs)
+        assert [i for i, _ in pairs] == sorted(i for i, _ in pairs)
+        for other in (
+            SparseSpectrum(n, dict(pairs)),
+            SparseSpectrum(n, pairs[::-1]),
+            SparseSpectrum.from_dense(est.to_dense()),
+            SparseSpectrum.from_arrays(n, est.support[::-1], est.values[::-1]),
+        ):
+            assert self._same(other, est)
+        for i in range(n):
+            assert est.get(i) == est.to_dense()[i]
+
+    def test_arrays_are_sorted_read_only_and_zero_free(self):
+        s = SparseSpectrum.from_arrays(16, np.array([9, 2, 5, 0]), [1j, 2.0, 0.0, -1.0])
+        assert s.support.dtype == np.int64 and s.values.dtype == np.complex128
+        assert s.support.tolist() == [0, 2, 9] and s.values.tolist() == [-1.0, 2.0, 1j]
+        for a in (s.support, s.values):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
+        assert s.get(5) == 0j and s.get(3) == 0j and s.get(99) == 0j and s.get(-1) == 0j
+        assert len(SparseSpectrum(16)) == 0 and SparseSpectrum(16).items() == []
+
+    def test_from_arrays_copies_its_inputs(self):
+        support, values = np.array([1, 4]), np.array([1.0, 2.0], dtype=complex)
+        s = SparseSpectrum.from_arrays(8, support, values)
+        support[0], values[0] = 3, 7.0
+        assert s.items() == [(1, 1 + 0j), (4, 2 + 0j)]
+        assert support.flags.writeable and values.flags.writeable
+
+    def test_from_arrays_validation(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseSpectrum.from_arrays(8, [3, 1, 3], [1.0, 1.0, 2.0])
+        with pytest.raises(IndexError):
+            SparseSpectrum.from_arrays(8, [8], [1.0])
+        with pytest.raises(IndexError):  # checked before a zero is dropped
+            SparseSpectrum.from_arrays(8, [-1, 2], [0.0, 1.0])
+        with pytest.raises(TypeError):
+            SparseSpectrum.from_arrays(8, [1.5], [1.0])
+        with pytest.raises(ValueError):
+            SparseSpectrum.from_arrays(8, [1, 2], [1.0])
+        with pytest.raises(ValueError):
+            SparseSpectrum.from_arrays(6, [1], [1.0])

@@ -254,6 +254,40 @@ class TestCli:
         assert summary["success_rate_theorem"] < 0.9
         assert code == 1
 
+    def test_bench_gate_refuses_a_vacuous_theorem_rate(self, capsys):
+        # exact-support sampling profile: both rates are 1.0, but the all-zero
+        # estimate would pass every trial too (most of S stays unresolved)
+        code = main([
+            "bench", "--n", "4096", "--k", "8", "--eps", "0.5", "--delta", "0.2",
+            "--gamma", "0.0625", "--const-c", "1", "--alpha-const", "1.25",
+            "--signal-model", "planted-sparse", "--query-model", "exact-support",
+            "--trials", "20", "--no-timing", "--require-success-rate", "0.9",
+        ])
+        out, err = capsys.readouterr()
+        summary = json.loads(out.strip().split("\n")[-1])["summary"]
+        assert min(summary["success_rate_theorem"], summary["success_rate_proof"]) >= 0.9
+        assert summary["vacuous_fraction_theorem"] > 0.1
+        assert code == 1
+        assert "n=4096 k=8 eps=0.5" in err
+        for key in ("success_rate_theorem", "success_rate_proof",
+                    "vacuous_fraction_theorem", "vacuous_fraction_proof"):
+            assert f"{key}={summary[key]}" in err, key
+
+    def test_bench_gate_passes_an_informative_point(self, capsys):
+        # the acceptance suite's END_TO_END config, at 20 trials: the
+        # theorem form is informative on every trial and met on every trial
+        code = main([
+            "bench", "--n", "4096", "--k", "8", "--eps", "0.5", "--delta", "1e-3",
+            "--gamma", "0.25", "--const-c", "4", "--alpha-const", "200",
+            "--signal-model", "sparse-plus-gaussian", "--noise-sigma", "0.01",
+            "--query-model", "superset", "--trials", "20", "--seed", "707",
+            "--no-timing", "--require-success-rate", "0.9",
+        ])
+        out, err = capsys.readouterr()
+        summary = json.loads(out.strip().split("\n")[-1])["summary"]
+        assert summary["vacuous_fraction_theorem"] <= 0.1
+        assert (code, err) == (0, "")
+
     def test_bench_gate_rejects_bad_input(self, capsys):
         grid = ["bench", "--n", "256", "--k", "4", "--eps", "0.5", "--trials", "1"]
         for rate in ["nan", "-0.5", "1.5", "inf"]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -79,6 +80,21 @@ class TestSchedule:
             compute_schedule(k=4, eps=0.5, delta=1e-3, n=1024, const_c=0.5)
         with pytest.raises(ValueError):
             compute_schedule(k=4, eps=0.5, delta=1e-3, n=1024, gamma=1.0)
+
+    def test_repeated_call_returns_the_same_schedule(self):
+        kw = dict(k=8, eps=0.5, delta=0.2, n=1 << 18, gamma=1 / 16, const_c=1.0,
+                  alpha_const=1.25)
+        assert compute_schedule(**kw) is compute_schedule(**kw)
+
+    def test_invalid_arguments_raise_on_every_call(self):
+        cached = compute_schedule.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError, match="const_c"):
+                compute_schedule(k=4, eps=0.5, delta=1e-3, n=1024, const_c=math.inf)
+        assert compute_schedule.cache_info().currsize == cached
+        compute_schedule(k=4, eps=0.5, delta=1e-3, n=1024)
+        with pytest.raises(TypeError):  # a float n is not served the int n's schedule
+            compute_schedule(k=4, eps=0.5, delta=1e-3, n=1024.0)
 
 
 class TestEstimateValues:
@@ -242,6 +258,27 @@ class TestSetQuery:
                         filters=filter_cache)
         assert rep.samples_used < n / 2
         assert rep.samples_used == x.samples_used
+
+    def test_warm_sublinear_query_allocates_nothing_of_length_n(self, filter_cache):
+        # a length-n bool read mask alone would be n bytes
+        n, k = 1 << 18, 8
+        gen = np.random.default_rng(5)
+        support = gen.choice(n, size=k, replace=False)
+        xhat = np.zeros(n, dtype=complex)
+        xhat[support] = 1.0
+        values = inverse_fft(xhat)
+        kw = dict(eps=0.5, delta=0.2, gamma=1 / 16, const_c=1.0, alpha_const=1.25,
+                  filters=filter_cache)
+        set_query(Signal(values), support, rng=np.random.default_rng(0), **kw)  # warm
+        x, query_rng = Signal(values), np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            rep = set_query(x, support, rng=query_rng, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.samples_used == x.samples_used < n // 64
+        assert peak < n // 4, peak
 
     def test_reused_signal_charges_each_query_its_own_reads(
         self, rng, filter_cache, monkeypatch

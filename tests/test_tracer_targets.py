@@ -58,3 +58,13 @@ def test_query_path_spans_carry_what_the_benchmark_reads():
     (top,) = [i for i, s in enumerate(tr.spans) if s.name == "query.set_query"]
     draws = [s for s in tr.spans if s.name == "permutation.random_params"]
     assert len(draws) == len(rounds) and all(s.parent == top for s in draws)
+
+    # the spans whose times and counts the per-layer metrics divide per query
+    # and per round: one schedule per query (memoised or not), and one draw,
+    # one bucketing and one estimate per round
+    names = [s.name for s in tr.spans]
+    assert names.count("query.compute_schedule") == 1
+    for name in ("permutation.random_params", "bins.hash_to_bins", "query.estimate_values"):
+        assert names.count(name) == len(report.iterations), name
+    evs = {i for i, s in enumerate(tr.spans) if s.name == "query.estimate_values"}
+    assert all(s.parent in evs for s in tr.spans if s.name == "bins.hash_to_bins")
