@@ -2,7 +2,8 @@
 
 Subcommands: ``query`` (a one-point ``bench``), ``bench`` (grid experiment),
 ``verify`` (claim suite), ``filter-info`` (build and report a filter).  Exit
-codes: 0 success, 1 acceptance failure, 2 invalid configuration.
+codes: 0 success, 1 acceptance failure, 2 invalid configuration, an
+unreadable or unwritable path, or an n too large to allocate.
 """
 
 from __future__ import annotations
@@ -210,6 +211,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
+        return EXIT_BAD_CONFIG
+    except (OSError, MemoryError) as exc:  # a path it cannot use, an n it cannot allocate
+        sys.stderr.write(f"cannot run: {exc}\n")
         return EXIT_BAD_CONFIG
     except FilterBuildError as exc:
         sys.stderr.write(f"filter build failed: {exc}\n")

@@ -22,9 +22,14 @@ __all__ = [
     "tail_norm",
     "restrict",
     "require_power_of_two",
+    "require_integral",
+    "index_array",
     "query_array",
 ]
 
+
+_INT64 = np.dtype(np.int64)
+_NO_ENTRIES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128))
 
 # A read ledger stays a sorted index array while it holds at most
 # n // LEDGER_ARRAY_DIVISOR indices (an eighth of a length-n bool mask's
@@ -42,21 +47,38 @@ def _distinct_sorted(a: np.ndarray) -> np.ndarray:
     return a if keep.all() else a[keep]
 
 
+def index_array(indices):
+    """Indices as int64: the one rule of every entry that takes indices.
+
+    An integer array, scalar or iterable (a set, range or generator too) is
+    read as int64, and int64 input or a Python int is returned as it is.
+    A float, bool, str or object entry raises ``TypeError`` rather than being
+    truncated; empty input is an empty int64 array.
+    """
+    if type(indices) is int or getattr(indices, "dtype", None) is _INT64:
+        return indices  # type() is int: a bool, an int subclass, is not
+    a = np.asarray(indices)
+    if a.dtype == object and a.ndim == 0:  # a set, generator or other iterable
+        indices = list(indices)
+        a = np.asarray(indices)
+    if a.size and a.dtype.kind not in "iu":
+        raise TypeError(f"indices must be integers, got dtype {a.dtype}")
+    # numpy reads [4, True] as [4, 1]; a bool among ints shows by its type
+    if isinstance(indices, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, indices)):
+        raise TypeError("indices must be integers, got a bool")
+    return a.astype(np.int64, copy=False)
+
+
 def query_array(query_set, n: int) -> np.ndarray:
     """The query set as a sorted, duplicate-free int64 array inside [0, n).
 
-    Frequencies must be integers: a float, bool or string set raises
-    ``TypeError`` rather than being truncated.
+    Frequencies follow :func:`index_array`: a float, bool or string set
+    raises ``TypeError`` rather than being truncated.
     """
-    # list() so a Python set or other iterable converts too
-    S = query_set if isinstance(query_set, np.ndarray) else np.asarray(list(query_set))
-    if S.size == 0:
-        raise ValueError("query set must be nonempty")
-    if S.ndim != 1:
-        raise ValueError(f"query set must be one-dimensional, got shape {S.shape}")
-    if S.dtype.kind not in "iu":  # bool, float, str and object sets are refused
-        raise TypeError(f"query frequencies must be integers, got dtype {S.dtype}")
-    S = S.astype(np.int64)  # a copy, sorted in place
+    S = index_array(query_set)
+    if np.ndim(S) != 1 or S.size == 0:
+        raise ValueError(f"query set must be nonempty and one-dimensional: {np.shape(S)}")
+    S = S.copy()  # sorted in place
     S.sort()
     S = _distinct_sorted(S)
     if S[0] < 0 or S[-1] >= n:
@@ -68,6 +90,13 @@ def require_power_of_two(n: int) -> None:
     """Raise ``ValueError`` unless n is a positive power of two."""
     if n < 1 or n & (n - 1):
         raise ValueError(f"n must be a power of two, got {n}")
+
+
+def require_integral(value, name: str) -> int:
+    """A size such as a bucket count as an int: 8.0 is 8, 8.5 raises ``ValueError``."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 class _Ledger:
@@ -86,22 +115,26 @@ class _Ledger:
         self.mask: np.ndarray | None = None
         self.count: int | None = 0
 
-    def add(self, idx: np.ndarray, distinct: np.ndarray | None) -> None:
-        """Record ``idx`` (in [0, n)); ``distinct`` is its sorted distinct
-        form, or None for a read too long to be held as an array."""
+    def add(self, idx: np.ndarray, distinct: np.ndarray | None) -> np.ndarray | None:
+        """Record ``idx`` (in [0, n)); ``distinct`` is its sorted distinct form
+        if an earlier ledger made it.  Returns that form, made here by an array
+        ledger for a read short enough to hold, or None."""
         if self.read is not None:
+            if distinct is None and idx.size <= self.n // LEDGER_ARRAY_DIVISOR:
+                distinct = _distinct_sorted(np.sort(idx, axis=None))
             if distinct is not None:
                 merged = distinct if self.read.size == 0 else _distinct_sorted(
                     np.sort(np.concatenate((self.read, distinct)), kind="stable")
                 )  # two ascending runs: the stable sort merges them in linear time
                 if merged.size <= self.n // LEDGER_ARRAY_DIVISOR:
                     self.read, self.count = merged, merged.size
-                    return
+                    return distinct
             self.mask = np.zeros(self.n, dtype=bool)
             self.mask[self.read] = True
             self.read = None
         self.mask[idx] = True
         self.count = None
+        return distinct
 
     def size(self) -> int:
         if self.count is None:
@@ -124,8 +157,9 @@ class Signal:
 
     :meth:`session` returns a per-query view with its own ledger over the
     same buffer; its reads are also recorded in the ledger of the signal it
-    came from.  Each read is sorted once, and the sorted form is merged into
-    every ledger it goes to.
+    came from.  A read goes down that chain of ledgers, is sorted at most
+    once, by the first that wants it sorted, and the sorted form is merged
+    into every array ledger after it.
 
     :attr:`data` exposes the raw buffer for reference transforms and test
     oracles; it deliberately does not count, so dense ground-truth evaluation
@@ -154,16 +188,14 @@ class Signal:
         return view
 
     def read_many(self, indices) -> np.ndarray:
-        """Vectorized counted read of ``x[i mod n]``; duplicates are charged once."""
-        idx = np.asarray(indices, dtype=np.int64) & (self.n - 1)  # mod n; n is a power of two
+        """Vectorized counted read of ``x[i mod n]``; duplicates are charged once.
+        A float, bool or string index (see :func:`index_array`) raises
+        ``TypeError`` before any ledger is charged."""
+        idx = np.asarray(index_array(indices), np.int64) & (self.n - 1)  # mod n, a power of two
         with self._lock:
-            # A view's reads are a subset of its parents', so its own ledger
-            # is the last to turn into a mask: while it has not, sort once.
             distinct = None
-            if self._ledgers[0].read is not None and idx.size <= self.n // LEDGER_ARRAY_DIVISOR:
-                distinct = _distinct_sorted(np.sort(idx, axis=None))
             for ledger in self._ledgers:
-                ledger.add(idx, distinct)
+                distinct = ledger.add(idx, distinct)
         return self._values[idx]
 
     @property
@@ -182,51 +214,32 @@ class SparseSpectrum:
 
     ``support`` is a read-only ascending int64 array of distinct indices in
     ``[0, n)`` and ``values`` the read-only complex128 coefficients there.
-    Explicit zeros are never stored, so ``len`` is the support size.
+    Explicit zeros are never stored, so ``len`` is the support size.  Both
+    constructors copy their input and check it the same way: a float, bool
+    or string index (see :func:`index_array`) raises ``TypeError``, a
+    repeated one ``ValueError`` and one outside ``[0, n)`` ``IndexError``.
     """
 
     __slots__ = ("n", "support", "values")
 
-    def __init__(self, n: int, entries=None) -> None:
-        """From a mapping or (index, value) pairs; a nonzero value for an
-        index replaces an earlier one, and zeros are dropped."""
-        require_power_of_two(n)
-        coeffs: dict[int, complex] = {}
-        if entries is not None:
-            items = entries.items() if hasattr(entries, "items") else entries
-            for i, c in items:
-                i, c = int(i), complex(c)
-                if not 0 <= i < n:
-                    raise IndexError(f"frequency {i} out of range [0, {n})")
-                if c != 0:
-                    coeffs[i] = c
-        order = sorted(coeffs)
-        self._freeze(
-            n,
-            np.array(order, dtype=np.int64),
-            np.array([coeffs[i] for i in order], dtype=np.complex128),
-        )
-
-    def _freeze(self, n: int, support: np.ndarray, values: np.ndarray) -> None:
-        support.setflags(write=False)
-        values.setflags(write=False)
-        self.n, self.support, self.values = int(n), support, values
+    def __init__(self, n: int, entries=()) -> None:
+        """From a mapping or (index, value) pairs, split into two arrays."""
+        pairs = list(entries.items() if hasattr(entries, "items") else entries)
+        self._build(n, *(zip(*pairs) if pairs else _NO_ENTRIES))
 
     @classmethod
     def from_arrays(cls, n: int, support, values) -> "SparseSpectrum":
-        """From distinct integer indices in ``[0, n)``, in any order, and their values.
+        """From indices in any order and their values; zeros are dropped."""
+        out = object.__new__(cls)
+        out._build(n, support, values)
+        return out
 
-        Both arrays are copied; zeros are dropped.  A duplicate index raises
-        ``ValueError`` and an index out of range ``IndexError``.
-        """
+    def _build(self, n: int, support, values) -> None:
         require_power_of_two(n)
-        s = np.asarray(support)
+        s = np.array(index_array(support))  # a copy: the caller's array is not frozen
         v = np.array(values, dtype=np.complex128)
         if s.ndim != 1 or s.shape != v.shape:
             raise ValueError(f"support {s.shape} and values {v.shape} must be 1-D and match")
-        if s.size and s.dtype.kind not in "iu":
-            raise TypeError(f"frequencies must be integers, got dtype {s.dtype}")
-        s = s.astype(np.int64)
         if s.size > 1 and not (s[1:] > s[:-1]).all():
             order = np.argsort(s, kind="stable")
             s, v = s[order], v[order]
@@ -234,15 +247,16 @@ class SparseSpectrum:
                 raise ValueError("duplicate frequency in support")
         if s.size and (s[0] < 0 or s[-1] >= n):
             raise IndexError(f"frequency out of range [0, {n})")
-        nonzero = v != 0
-        if not nonzero.all():
+        if s.size and not v.all():  # drop the zeros
+            nonzero = v != 0
             s, v = s[nonzero], v[nonzero]
-        out = object.__new__(cls)
-        out._freeze(n, s, v)
-        return out
+        s.setflags(write=False)
+        v.setflags(write=False)
+        self.n, self.support, self.values = int(n), s, v
 
     def get(self, i: int) -> complex:
-        i = int(i)
+        """The coefficient at index ``i`` (see :func:`index_array`); 0 off the support."""
+        i = int(index_array(i))
         if not 0 <= i < self.n:
             return 0j
         j = int(np.searchsorted(self.support, i))
@@ -344,10 +358,9 @@ def tail_norm(x, k: int) -> float:
 def restrict(x, indices) -> np.ndarray:
     """Zero out every coordinate of ``x`` outside ``indices``."""
     v = np.asarray(x)
+    idx = index_array(indices)
+    if np.size(idx) and (np.min(idx) < 0 or np.max(idx) >= v.shape[0]):
+        raise IndexError("restriction index out of range")
     out = np.zeros_like(v)
-    idx = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
-    if idx.size:
-        if idx[0] < 0 or idx[-1] >= v.shape[0]:
-            raise IndexError("restriction index out of range")
-        out[idx] = v[idx]
+    out[idx] = v[idx]
     return out

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import erfc, erfcinv
 
-from .core import fft_raw, require_power_of_two
+from .core import fft_raw, require_integral, require_power_of_two
 
 __all__ = [
     "FilterPair",
@@ -88,9 +88,7 @@ def flat_edge(n: int, buckets: int, alpha: float) -> float:
 
 def _check_params(n, buckets, delta, alpha) -> tuple[int, int]:
     """Validate (n, B, delta, alpha) and return n and B as ints."""
-    if not (float(n).is_integer() and float(buckets).is_integer()):
-        raise ValueError(f"n and bucket count must be integers, got {n}, {buckets}")
-    n, B = int(n), int(buckets)
+    n, B = require_integral(n, "n"), require_integral(buckets, "bucket count")
     require_power_of_two(n)
     if B < 2:
         raise ValueError(f"bucket count must be >= 2, got {buckets}")
@@ -289,7 +287,8 @@ class FilterCache:
         self.hits = self.misses = self.build_ns = 0
 
     def get(self, n: int, buckets: int, delta: float, alpha: float) -> FilterPair:
-        key = (int(n), int(buckets), float(delta), float(alpha))
+        key = (require_integral(n, "n"), require_integral(buckets, "bucket count"),
+               float(delta), float(alpha))
         # Building under the lock makes concurrent misses on a key build once.
         with self._lock:
             fp = self._filters.get(key)

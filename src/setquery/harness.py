@@ -26,6 +26,7 @@ repeat runs; timing fields are the only nondeterministic payload.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -288,6 +289,14 @@ def run_trial(
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (``os.cpu_count()`` where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials of a config; deterministic for a fixed seed."""
     config.validate()
@@ -295,7 +304,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(config.trials)
 
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+    # map queues every trial at once, and the pool starts a worker per queued
+    # trial up to max_workers: no more than the CPUs or the trials
+    workers = min(config.threads, config.trials, _usable_cpus())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         records = list(
             pool.map(
                 lambda i: run_trial(config, i, children[i], filters),

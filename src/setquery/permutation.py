@@ -22,7 +22,9 @@ half-up, with the top edge folded onto bucket 0.
 
 Everything here is lazy per-index arithmetic, table lookups and power-of-two
 masks: the permuted signal is never materialized, so callers only ever touch
-the samples they ask for.
+the samples they ask for.  Indices, exponents and the draw's fields are read
+by :func:`~setquery.core.index_array` (a float, bool or string raises
+``TypeError``), a bucket count by :func:`~setquery.core.require_integral`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import require_power_of_two
+from .core import index_array, require_integral, require_power_of_two
 
 __all__ = [
     "PermutationParams",
@@ -62,6 +64,9 @@ class PermutationParams:
     n: int
 
     def __post_init__(self) -> None:
+        if not type(self.sigma) is type(self.a) is type(self.b) is int:  # one draw skips numpy
+            for name in ("sigma", "a", "b"):
+                object.__setattr__(self, name, index_array(getattr(self, name)))
         s, n = self.sigma, self.n
         require_power_of_two(n)
         if not (_every((1 <= s) & (s < n)) or n == 1):
@@ -87,15 +92,15 @@ def random_params(rng: np.random.Generator, n: int) -> PermutationParams:
 
 def permuted_frequency(p: PermutationParams, i):
     """pi(i) = sigma*(i - b) mod n; a bijection on [0, n) for odd sigma."""
-    out = (p.sigma * (np.asarray(i, dtype=np.int64) - p.b)) % p.n
-    return int(out) if out.ndim == 0 else out
+    out = (p.sigma * (index_array(i) - p.b)) % p.n
+    return int(out) if np.ndim(out) == 0 else out
 
 
 def _check_buckets(p: PermutationParams, buckets: int) -> int:
-    b = int(buckets)
-    if b < 1 or p.n % b != 0:
+    B = require_integral(buckets, "bucket count")
+    if B < 1 or p.n % B != 0:
         raise ValueError(f"bucket count {buckets} must divide n={p.n}")
-    return b
+    return B
 
 
 def nearest_bucket(pf, w: int):
@@ -140,17 +145,17 @@ def twiddle(n: int, e) -> np.ndarray:
     cached tables of at most L entries each stand in for a per-element exp.
     """
     hi, lo = _root_tables(n)
-    e = np.asarray(e, dtype=np.int64) & (n - 1)
+    e = index_array(e) & (n - 1)
     return hi[e >> (lo.size.bit_length() - 1)] * lo[e & (lo.size - 1)]
 
 
 def modulation(p: PermutationParams, t) -> np.ndarray:
     """exp(-2j*pi*sigma*a*t/n), the phase ``xhat[t]`` carries to ``DFT(P x)[pi(t)]``."""
-    return twiddle(p.n, ((p.sigma * p.a) & (p.n - 1)) * t)
+    return twiddle(p.n, ((p.sigma * p.a) & (p.n - 1)) * index_array(t))
 
 
 def permute_time_many(x, p: PermutationParams, indices) -> np.ndarray:
     """Vectorized (P x)_i over an index array; one counted read per index."""
-    t = np.asarray(indices, dtype=np.int64)
+    t = index_array(indices)
     samples = x.read_many(p.sigma * (t - p.a))
     return samples * twiddle(p.n, ((p.sigma * p.b) & (p.n - 1)) * t)

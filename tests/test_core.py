@@ -387,6 +387,13 @@ class TestSparseSpectrum:
         assert s.items() == [(1, 1 + 0j), (4, 2 + 0j)]
         assert support.flags.writeable and values.flags.writeable
 
+    def test_pairs_take_the_from_arrays_checks(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseSpectrum(8, [(3, 1.0), (3, 0.0)])  # no later pair replaces an earlier one
+        for index in (1.7, True, "3"):
+            with pytest.raises(TypeError):
+                SparseSpectrum(8, {index: 1})
+
     def test_from_arrays_validation(self):
         with pytest.raises(ValueError, match="duplicate"):
             SparseSpectrum.from_arrays(8, [3, 1, 3], [1.0, 1.0, 2.0])

@@ -292,6 +292,15 @@ class TestFilterCache:
         assert len(calls) == 1 and cache.misses == 1 and cache.hits == 3
         assert len(results) == 4 and all(r is results[0] for r in results)
 
+    def test_bucket_count_must_be_integral(self):
+        cache = FilterCache()
+        built = {B: cache.get(256, B, 1e-2, 0.25) for B in (8, 32)}
+        for B in (8.5, 32.7):  # refused, though int(B) is cached
+            with pytest.raises(ValueError, match="must be an integer"):
+                cache.get(256, B, 1e-2, 0.25)
+        assert cache.get(256, 32.0, 1e-2, 0.25) is built[32]
+        assert (cache.hits, cache.misses) == (1, 2)
+
     def test_counts_hits_misses_and_build_time(self):
         cache = FilterCache()
         assert (cache.hits, cache.misses, cache.build_ns) == (0, 0, 0)

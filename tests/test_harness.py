@@ -148,6 +148,27 @@ class TestRunExperiment:
         b = run_experiment(ExperimentConfig(threads=4, **base)).to_jsonl()
         assert a == b
 
+    def test_pool_starts_at_most_the_trials_and_the_cpus(self, monkeypatch):
+        started = []
+
+        class SerialPool:  # records max_workers and starts no thread
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
+        res = run_experiment(ExperimentConfig(n=256, k=4, trials=3, threads=10**6))
+        assert len(res.records) == 3
+        assert len(started) == 1 and 1 <= started[0] <= 3
+
     def test_records_are_valid_jsonl(self):
         cfg = ExperimentConfig(n=256, k=4, trials=3, seed=7)
         out = run_experiment(cfg).to_jsonl()
@@ -334,6 +355,21 @@ class TestCli:
         header = np.array([1000.0, 8.0, 1e-2, 0.25], dtype="<f8")  # n not a power of two
         bad.write_bytes(b"SQFL" + header.tobytes())
         assert main(["filter-info", "--load", str(bad)]) == 2
+
+    def test_unusable_path_or_n_exits_2(self, tmp_path, capsys):
+        big = tmp_path / "big.fil"  # a 36-byte cache file whose header says n = 2**50
+        big.write_bytes(b"SQFL" + np.array([2.0**50, 32.0, 1e-3, 0.25], dtype="<f8").tobytes())
+        # numpy refuses a length-2**50 array before touching memory: it is
+        # beyond the address space; a smaller n could be overcommitted
+        for args in [
+            ["filter-info", "--load", str(tmp_path / "missing.fil")],
+            ["query", "--n", "256", "--k", "4", "--out", str(tmp_path / "no-dir" / "x.jsonl")],
+            ["query", "--n", str(2**50)],
+            ["filter-info", "--load", str(big)],
+        ]:
+            assert main(args) == 2, args
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("cannot run: ") and err.count("\n") == 1, args
 
     @pytest.mark.parametrize("row, col, value", [
         (10, 1, float("nan")), (10, 1, float("inf")), (0, 0, -505.5), (0, 0, 1e30),

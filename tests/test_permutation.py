@@ -152,6 +152,13 @@ class TestBucketHash:
         with pytest.raises(ValueError):
             bucket_index(p, 3, 0)
 
+    def test_bucket_count_must_be_integral(self):
+        p = PermutationParams(sigma=1, a=0, b=0, n=64)
+        for f in (bucket_index, bucket_offset):
+            with pytest.raises(ValueError, match="must be an integer"):
+                f(p, 8.5, 13)  # not hashed with B = 8
+            assert f(p, 8.0, 13) == f(p, 8, 13)
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.sampled_from([64, 256, 1024]),
