@@ -15,14 +15,21 @@ signal convention the correct bin scale comes from the *unnormalized*
 B-point FFT of the folded product; that factor is pinned by an oracle
 calibration test at n=64.
 
+The shift b enters only the phase omega**(c*t), c = sigma*b mod n, never the
+indices read.  So the window is read once through the b-free draw
+(sigma, a, 0), and the phase is paid after the taps are folded: the filter's
+offsets form one run t0 + q*B + j, so omega**(c*t) is a row phase
+omega**(c*(t0 + q*B)) times a column phase omega**(c*j).  The fold is one
+contraction of the rows with their row phases; the column phase, and the
+rotation of column j to bin (t0 + j) mod B after the FFT, act on B values.
+Per tap the call does one index computation, one counted read and one real
+multiply by the tap; the phases cost one :func:`~setquery.permutation.twiddle`
+call of ceil(L/B) + O(sqrt B) exponents, laid out once per filter by
+:attr:`~setquery.filters.FilterPair.fold`.
+
 The running estimate zhat is subtracted exactly, with the same phase: each
 support coordinate of zhat contributes to at most one bin, since the
 idealized response vanishes at and beyond half a bucket width.
-
-Per tap the call does a few integer operations, one counted read, and one
-phase looked up by :func:`~setquery.permutation.twiddle`.  The bin each tap
-folds into is the filter's :attr:`~setquery.filters.FilterPair.tap_bins`,
-computed once per filter.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .permutation import (
     bucket_offset,
     modulation,
     permute_time_many,
+    twiddle,
 )
 
 __all__ = ["hash_to_bins"]
@@ -50,7 +58,8 @@ def hash_to_bins(
 ) -> np.ndarray:
     """Return the length-B complex bin vector for one (sigma, a, b) draw.
 
-    Reads at most ``fp.support_size`` distinct (counted) samples of ``x``.
+    Reads at most ``fp.support_size`` distinct (counted) samples of ``x``,
+    the ones the b-free draw (sigma, a, 0) reads; b changes no index.
     """
     n = x.n
     if fp.n != n:
@@ -59,21 +68,47 @@ def hash_to_bins(
         raise ValueError(f"permutation built for n={p.n}, signal has n={n}")
     if z is not None and z.n != n:
         raise ValueError(f"estimate has n={z.n}, signal has n={n}")
-    B = fp.buckets
+    B, fold = fp.buckets, fp.fold
 
-    y = fp.taps * permute_time_many(x, p, fp.offsets)
-
-    u_hat = fft_raw(_bin_sums(fp.tap_bins, y, B), inverse=False)
+    phase = twiddle(n, ((p.sigma * p.b) & (n - 1)) * fold.exponents)
+    v = _contract_rows(x, p, fp, phase[: fold.rows])
+    _times_progression(v, phase[fold.rows :], fold.width)  # the column phase
+    u_hat = fft_raw(v, inverse=False, out=v)  # in place: one length-B buffer
+    _times_progression(u_hat, fold.ramp, fold.width)  # column j to bin (t0 + j) mod B
 
     if z is not None and len(z) > 0:
         s = z.support
         contrib = z.values * fp.response(bucket_offset(p, B, s)) * modulation(p, s)
-        u_hat -= _bin_sums(bucket_index(p, B, s), contrib, B)
+        np.subtract.at(u_hat, bucket_index(p, B, s), contrib)
     return u_hat
 
 
-def _bin_sums(bins: np.ndarray, values: np.ndarray, B: int) -> np.ndarray:
-    """Length-B complex vector of the sums of ``values`` falling in each bin."""
-    return np.bincount(bins, weights=values.real, minlength=B) + 1j * np.bincount(
-        bins, weights=values.imag, minlength=B
-    )
+def _contract_rows(x: Signal, p: PermutationParams, fp: FilterPair, row_phase) -> np.ndarray:
+    """The window read under (sigma, a, 0), times the taps, summed over rows by phase.
+
+    Row q holds taps q*B ... q*B + B-1 of the run; the last row may be
+    short.  The read buffer is dropped on return, so at B = n no more than
+    two length-n buffers are alive at once.
+    """
+    B = fp.buckets
+    y = permute_time_many(x, PermutationParams(p.sigma, p.a, 0, p.n), fp.offsets)
+    re_im = y.view(np.float64)  # real and imaginary parts, interleaved
+    re_im *= fp.fold.taps2
+    full = y.size // B
+    v = np.dot(row_phase[:full], y[: full * B].reshape(full, B))
+    if full < row_phase.size:  # the short last row, phased in place
+        last = y[full * B :]
+        last *= row_phase[full]
+        v[: last.size] += last
+    return v
+
+
+def _times_progression(a: np.ndarray, factors: np.ndarray, width: int) -> None:
+    """Scale a[j], j = hi*width + lo, by factors[hi] * factors[B/width + lo], in place.
+
+    Two broadcasts over a's rows and columns of ``width``, so no length-B
+    factor array is made.
+    """
+    grid = a.reshape(-1, width)
+    grid *= factors[:-width, None]
+    grid *= factors[-width:]

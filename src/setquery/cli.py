@@ -9,6 +9,7 @@ unreadable or unwritable path, or an n too large to allocate.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import sys
@@ -64,15 +65,7 @@ def _add_run_flags(sub: argparse.ArgumentParser, grid: bool, trials: int) -> Non
                      help="omit wall times for byte-identical reruns")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _run_grid(args, ns, ks, epss, require_rate: float | None = None) -> int:
+def _run_grid(args, out, ns, ks, epss, require_rate: float | None = None) -> int:
     """Run every (n, k, eps) point, emit records or summaries, apply the gate."""
     results = [
         run_experiment(ExperimentConfig(
@@ -85,9 +78,9 @@ def _run_grid(args, ns, ks, epss, require_rate: float | None = None) -> int:
         for n in ns for k in ks for eps in epss
     ]
     if args.format == "csv":
-        _emit(summary_to_csv([r.summary for r in results]), args.out)
+        out.write(summary_to_csv([r.summary for r in results]))
     else:
-        _emit("".join(r.to_jsonl() for r in results), args.out)
+        out.write("".join(r.to_jsonl() for r in results))
     if require_rate is None:
         return EXIT_OK
     failed = [r for r in results if not _passes(r.summary, require_rate)]
@@ -118,31 +111,30 @@ def _passes(summary: dict, rate: float) -> bool:
     )
 
 
-def _cmd_query(args) -> int:
-    return _run_grid(args, [args.n], [args.k], [args.eps])
+def _cmd_query(args, out) -> int:
+    return _run_grid(args, out, [args.n], [args.k], [args.eps])
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, out) -> int:
     if not (args.n and args.k and args.eps):
         raise ConfigError("--n, --k and --eps each need at least one value")
     rate = args.require_success_rate
     if rate is not None and not 0.0 <= rate <= 1.0:
         raise ConfigError(f"--require-success-rate must lie in [0, 1], got {rate}")
-    return _run_grid(args, args.n, args.k, args.eps, rate)
+    return _run_grid(args, out, args.n, args.k, args.eps, rate)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out) -> int:
     checks = run_verification_suite(
         n=args.n, trials=args.trials, seed=args.seed, filter_delta=args.delta
     )
-    report = "\n".join(c.line() for c in checks) + "\n"
-    _emit(report, args.out)
+    out.write("\n".join(c.line() for c in checks) + "\n")
     if not all(c.passed for c in checks):
         return EXIT_ACCEPTANCE_FAILURE
     return EXIT_OK
 
 
-def _cmd_filter_info(args) -> int:
+def _cmd_filter_info(args, out) -> int:
     if args.load:
         fp = load_filter(args.load)
     else:
@@ -160,7 +152,7 @@ def _cmd_filter_info(args) -> int:
         "flat_radius": fp.flat_radius,
         "stop_radius": fp.stop_radius,
     }
-    _emit(json.dumps(info, indent=2, sort_keys=True) + "\n", args.out)
+    out.write(json.dumps(info, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -208,7 +200,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # --out is opened before any work, so a path it cannot write costs nothing
+        with (contextlib.nullcontext(sys.stdout) if args.out is None
+              else open(args.out, "w")) as out:
+            return args.func(args, out)
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return EXIT_BAD_CONFIG

@@ -73,14 +73,15 @@ def query_array(query_set, n: int) -> np.ndarray:
     """The query set as a sorted, duplicate-free int64 array inside [0, n).
 
     Frequencies follow :func:`index_array`: a float, bool or string set
-    raises ``TypeError`` rather than being truncated.
+    raises ``TypeError`` rather than being truncated.  An int64 array that
+    is already strictly increasing and inside [0, n) is returned as it is,
+    after one O(k) pass; any other set is sorted and deduplicated in a copy.
     """
     S = index_array(query_set)
     if np.ndim(S) != 1 or S.size == 0:
         raise ValueError(f"query set must be nonempty and one-dimensional: {np.shape(S)}")
-    S = S.copy()  # sorted in place
-    S.sort()
-    S = _distinct_sorted(S)
+    if not (S[1:] > S[:-1]).all():
+        S = _distinct_sorted(np.sort(S))
     if S[0] < 0 or S[-1] >= n:
         raise IndexError("query frequency out of range")
     return S
@@ -316,16 +317,17 @@ def inverse_dft_oracle(spectrum) -> np.ndarray:
     return np.conj(dft_oracle(np.conj(v)))
 
 
-def fft_raw(x, inverse: bool = False) -> np.ndarray:
+def fft_raw(x, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized transform via ``numpy.fft``.
 
     Forward computes ``X[f] = sum_j x[j] * exp(-2j*pi*f*j/n)``; ``inverse``
     flips the exponent sign (still unnormalized).  Rejects lengths that are
-    not powers of two.
+    not powers of two.  ``out``, a complex128 array of x's shape that may be
+    x itself, receives the result in place of a new array.
     """
     v = np.asarray(x, dtype=np.complex128)
     require_power_of_two(v.shape[0])
-    return np.fft.ifft(v, norm="forward") if inverse else np.fft.fft(v)
+    return np.fft.ifft(v, norm="forward", out=out) if inverse else np.fft.fft(v, out=out)
 
 
 def fft(x) -> np.ndarray:

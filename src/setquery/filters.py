@@ -33,11 +33,13 @@ import functools
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc, erfcinv
 
 from .core import fft_raw, require_integral, require_power_of_two
+from .permutation import twiddle
 
 __all__ = [
     "FilterPair",
@@ -101,13 +103,37 @@ def _check_params(n, buckets, delta, alpha) -> tuple[int, int]:
     return n, B
 
 
+class FoldLayout(NamedTuple):
+    """A filter's taps laid out for the fold of :func:`~setquery.bins.hash_to_bins`.
+
+    The offsets form one run t0, t0+1, ..., t0+L-1, so tap i sits at
+    t0 + q*B + j in row q = i // B and column j = i % B, and a draw's phase
+    omega**(c*t) is a row phase omega**(c*(t0 + q*B)) times a column phase
+    omega**(c*j).  ``exponents`` holds every exponent a draw needs, so one
+    :func:`~setquery.permutation.twiddle` call gives them all: the ``rows``
+    row starts, then the column progressions hi*width (hi < B/width) and lo
+    (lo < width), with j = hi*width + lo.  ``ramp`` holds the same two
+    progressions of omega_B**(f*t0) over the bins f: after the B-point FFT it
+    moves column j to bin (t0 + j) mod B.  ``taps2`` repeats each tap twice,
+    to scale a complex buffer's float view.
+    """
+
+    rows: int  # ceil(L / B)
+    width: int  # 2**ceil(log2(B) / 2)
+    exponents: np.ndarray
+    ramp: np.ndarray
+    taps2: np.ndarray
+
+
 @dataclass(frozen=True)
 class FilterPair:
     """Time-sparse window plus its evaluable idealized frequency response.
 
-    ``offsets`` are sorted signed time indices (a built window's form one run,
-    [-R, R], [-R, R+1] or all n) and ``taps`` the real window values there;
-    the window is zero elsewhere.  ``leakage`` is the measured
+    ``offsets`` are one run of consecutive signed time indices, ascending
+    (a built window's are [-R, R], [-R, R+1] or all n), and ``taps`` the real
+    window values there; the window is zero elsewhere.  The fold of
+    :func:`~setquery.bins.hash_to_bins` relies on the run, through
+    :attr:`fold`.  ``leakage`` is the measured
     ``max_i |DFT(G)_i - response(i)|`` over all n frequencies, NaN until then.
     """
 
@@ -118,6 +144,11 @@ class FilterPair:
     offsets: np.ndarray = field(repr=False)
     taps: np.ndarray = field(repr=False)
     leakage: float = float("nan")
+
+    def __post_init__(self) -> None:
+        t = self.offsets
+        if t.size and t[-1] - t[0] != t.size - 1:
+            raise ValueError("a filter's offsets must form one run of consecutive integers")
 
     @property
     def support_size(self) -> int:
@@ -131,15 +162,15 @@ class FilterPair:
         )
 
     @functools.cached_property
-    def tap_bins(self) -> np.ndarray:
-        """The bin each tap folds into: its offset mod B, read-only.
-
-        A filter is only built for a B that divides the power-of-two n, so
-        this is a mask ``& (B-1)`` and also (offset mod n) mod B.
-        """
-        bins = self.offsets & (self.buckets - 1)
-        bins.setflags(write=False)
-        return bins
+    def fold(self) -> FoldLayout:
+        """How :func:`~setquery.bins.hash_to_bins` folds the taps; derived once."""
+        n, B, t = self.n, self.buckets, self.offsets
+        t0 = int(t[0]) if t.size else 0
+        rows, width = -(-t.size // B), 1 << (B.bit_length() // 2)
+        columns = np.concatenate((np.arange(0, B, width), np.arange(width)))
+        exponents = np.concatenate((np.arange(t0, t0 + rows * B, B), columns))
+        ramp = twiddle(n, columns * ((n // B) * (t0 % B)))
+        return FoldLayout(rows, width, exponents, ramp, np.repeat(self.taps, 2))
 
     @property
     def flat_radius(self) -> float:
@@ -197,7 +228,8 @@ def build_filter(n: int, buckets: int, delta: float, alpha: float) -> FilterPair
     n, B = _check_params(n, buckets, delta, alpha)
     signed = _signed_offset(np.arange(n), n)
     radius = np.abs(signed)
-    target = _smoothed_box(radius.astype(np.float64), *_shape(n, B, delta, alpha))
+    # the target is even: the smoothed box is evaluated once per radius
+    target = _smoothed_box(np.arange(n // 2 + 1.0), *_shape(n, B, delta, alpha))[radius]
     g_full = fft_raw(target, inverse=True).real / np.sqrt(n)
 
     order = np.argsort(radius, kind="stable")  # offsets 0, +1, -1, +2, -2, ...
@@ -249,9 +281,11 @@ def save_filter(fp: FilterPair, path) -> None:
 def load_filter(path) -> FilterPair:
     """Read a filter written by :func:`save_filter` and re-verify it.
 
-    A malformed header, a non-finite tap, or an offset that is not an integer
-    in [-n, n) raises ``ValueError`` before the window is checked.  Pairs may
-    come in any order; they are sorted by offset (stable) before the check.
+    A malformed header, a non-finite tap, an offset that is not an integer
+    in [-n, n), or offsets that do not form one run of consecutive integers
+    raise ``ValueError`` before the window is checked.  Pairs may come in any
+    order; they are sorted by offset, and taps at one offset add up, as they
+    do in :meth:`FilterPair.window_dense`.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -268,8 +302,8 @@ def load_filter(path) -> FilterPair:
     # NaN fails every comparison, and an integral offset in range casts exactly
     if not np.all((offsets == np.floor(offsets)) & (-n <= offsets) & (offsets < n)):
         raise ValueError(f"{path} has an offset that is not an integer in [-{n}, {n})")
-    order = np.argsort(offsets, kind="stable")
-    offsets, taps = offsets[order].astype(np.int64), taps[order]
+    offsets, where = np.unique(offsets, return_inverse=True)
+    offsets, taps = offsets.astype(np.int64), np.bincount(where, weights=taps)
     fp = FilterPair(n, B, float(delta), float(alpha), offsets, taps)
     return _verified_filter(fp, fp.response(np.arange(n)), f"cached filter at {path}")
 

@@ -155,7 +155,14 @@ def modulation(p: PermutationParams, t) -> np.ndarray:
 
 
 def permute_time_many(x, p: PermutationParams, indices) -> np.ndarray:
-    """Vectorized (P x)_i over an index array; one counted read per index."""
+    """Vectorized (P x)_i over an index array; one counted read per index.
+
+    A draw whose sigma*b is 0 mod n returns the samples as read, since its
+    phase omega**0 is exactly 1.
+    """
     t = index_array(indices)
     samples = x.read_many(p.sigma * (t - p.a))
-    return samples * twiddle(p.n, ((p.sigma * p.b) & (p.n - 1)) * t)
+    c = (p.sigma * p.b) & (p.n - 1)
+    if type(c) is int and c == 0:
+        return samples
+    return samples * twiddle(p.n, c * t)

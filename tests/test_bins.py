@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from setquery.bins import hash_to_bins
 from setquery.core import Signal, SparseSpectrum, dft_oracle, inverse_fft, tail_norm
-from setquery.filters import build_filter
+from setquery.filters import FilterPair, build_filter, load_filter, save_filter
 from setquery.permutation import (
     PermutationParams,
     bucket_index,
     bucket_offset,
+    modulation,
     random_params,
+    twiddle,
 )
 
 from conftest import complex_vector
@@ -42,6 +46,23 @@ def exp_phase_bins(x, z, p, fp):
         phase = np.exp((-2j * np.pi / n) * ((p.sigma * p.a * s) % n))
         np.add.at(u_hat, bucket_index(p, B, s), -coeffs * fp.response(bucket_offset(p, B, s)) * phase)
     return u_hat
+
+
+def per_tap_bins(x, z, p, fp):
+    """The bin vector tap by tap: each tap's b phase looked up by twiddle,
+    the product summed into bin offset mod B, then the B-point FFT."""
+    n, B, t = fp.n, fp.buckets, fp.offsets
+    y = fp.taps * x.data[(p.sigma * (t - p.a)) % n] * twiddle(n, ((p.sigma * p.b) % n) * t)
+    u_hat = np.fft.fft(_bin_sums(t % B, y, B))
+    if z is not None:
+        s = z.support
+        contrib = z.values * fp.response(bucket_offset(p, B, s)) * modulation(p, s)
+        u_hat -= _bin_sums(bucket_index(p, B, s), contrib, B)
+    return u_hat
+
+
+def _bin_sums(bins, values, B):
+    return np.bincount(bins, values.real, B) + 1j * np.bincount(bins, values.imag, B)
 
 
 def make_instance(rng, n, B, delta, alpha, k, with_z, filter_cache):
@@ -136,6 +157,79 @@ class TestContract:
             want = exp_phase_bins(x, z, p, fp)
             got = hash_to_bins(x, z, p, fp)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def run_filter(name, tmp_path, rng):
+    """A filter whose L taps stand in one of the ways the fold lays them out."""
+    def hand_built(n, B, offsets):
+        return FilterPair(n, B, 1e-3, 0.25, offsets, rng.standard_normal(offsets.size))
+
+    if name == "L<B":
+        return hand_built(1024, 64, np.arange(-20, 17))
+    if name == "L=4B":
+        return hand_built(1024, 32, np.arange(-64, 64))
+    if name == "L%B>0, t0>0":
+        return hand_built(1024, 32, np.arange(5, 105))
+    if name == "built":
+        return build_filter(1024, 32, 1e-3, 0.25)
+    if name == "B=n":
+        return build_filter(1024, 1024, 1e-3, 0.005)
+    save_filter(build_filter(2048, 64, 1e-2, 0.25), tmp_path / "w.fil")
+    return load_filter(tmp_path / "w.fil")
+
+
+class TestFold:
+    @pytest.mark.parametrize("name", ["L<B", "L=4B", "L%B>0, t0>0", "built", "B=n", "loaded"])
+    def test_matches_per_tap_bins(self, name, tmp_path, rng):
+        fp = run_filter(name, tmp_path, rng)
+        n, L, B = fp.n, fp.support_size, fp.buckets
+        assert {"L<B": L < B, "L=4B": L == 4 * B, "B=n": B == n}.get(name, L % B > 0)
+        x = Signal(complex_vector(rng, n))
+        support = rng.choice(n, size=6, replace=False)
+        z = SparseSpectrum.from_arrays(n, support, complex_vector(rng, 6))
+        for _ in range(5):
+            p = random_params(rng, n)
+            for estimate in (None, z):
+                want = per_tap_bins(x, estimate, p, fp)
+                got = hash_to_bins(x, estimate, p, fp)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_a_draw_shifted_in_b_reads_the_same_indices(self, rng, filter_cache, monkeypatch):
+        fp = filter_cache.get(4096, 64, 0.2, 0.8)
+        values = complex_vector(rng, fp.n)
+        p = random_params(rng, fp.n)
+        reads = []
+        read_many = Signal.read_many
+
+        def recording_read_many(self, indices):
+            reads.append(np.array(indices))
+            return read_many(self, indices)
+
+        monkeypatch.setattr(Signal, "read_many", recording_read_many)
+        for b in (p.b, (p.b + 1 + fp.n // 2) % fp.n):
+            x = Signal(values)
+            hash_to_bins(x, None, PermutationParams(p.sigma, p.a, b, fp.n), fp)
+            assert x.samples_used == fp.support_size
+        assert len(reads) == 2 and np.array_equal(reads[0], reads[1])
+
+    @pytest.mark.parametrize("key, taps", [
+        ((1 << 16, 1024, 0.2, 0.1), 49323),  # multi-round's round 2
+        ((1 << 14, 1 << 14, 1e-3, 0.005), 1 << 14),  # dense-warm's B = n
+    ])
+    def test_warm_call_peak_memory(self, key, taps, rng, filter_cache):
+        # at most 2.5 times the 16*L bytes of the complex read buffer
+        fp = filter_cache.get(*key)
+        assert fp.support_size == taps
+        x = Signal(complex_vector(rng, fp.n))
+        hash_to_bins(x.session(), None, random_params(rng, fp.n), fp)  # layout and tables
+        view, p = x.session(), random_params(rng, fp.n)
+        tracemalloc.start()
+        try:
+            hash_to_bins(view, None, p, fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 16 * taps
 
 
 class TestAccounting:

@@ -189,6 +189,31 @@ class TestQueryArray:
         with pytest.raises(ValueError, match="one-dimensional"):
             query_array(np.array([[1, 2], [3, 4]]), 16)
 
+    def test_canonical_set_comes_back_as_it_is(self):
+        S = np.array([0, 3, 9, 15], dtype=np.int64)
+        assert query_array(S, 16) is S
+
+    @pytest.mark.parametrize("query_set, error", [
+        (np.array([3, 16], dtype=np.int64), IndexError),  # increasing, but not inside [0, n)
+        (np.array([-1, 3], dtype=np.int64), IndexError),
+        (np.array([16, 3], dtype=np.int64), IndexError),  # sorted first, then out of range
+        (np.array([[1, 2]], dtype=np.int64), ValueError),
+        (np.array([], dtype=np.int64), ValueError),
+    ])
+    def test_rejections_hold_for_int64_arrays(self, query_set, error):
+        with pytest.raises(error):
+            query_array(query_set, 16)
+
+    def test_no_report_field_aliases_the_callers_set(self, rng):
+        # the sampling profile at n=4096 leaves part of an 8-set unresolved
+        S = np.arange(3, 4096, 500, dtype=np.int64)
+        report = set_query(Signal(complex_vector(rng, 4096)), S, eps=0.5, delta=0.2,
+                           gamma=1 / 16, const_c=1.0, alpha_const=1.25, rng=rng)
+        assert S.tolist() == list(range(3, 4096, 500))
+        arrays = [report.unresolved, report.estimate.support, report.estimate.values]
+        assert report.unresolved.size and report.estimate.support.size  # both kinds occur
+        assert not any(np.shares_memory(a, S) for a in arrays)
+
 
 class TestSignal:
     def test_requires_power_of_two(self):

@@ -64,6 +64,11 @@ class TestBuildValidation:
         with pytest.raises(FilterBuildError, match="leaks"):
             build_filter(1024, 32, 1e-320, 0.25)
 
+    def test_offsets_must_form_one_run(self):
+        # the fold of hash_to_bins places tap i at offsets[0] + i
+        with pytest.raises(ValueError, match="one run"):
+            filters.FilterPair(256, 32, 1e-3, 0.25, np.array([-2, -1, 1, 2]), np.ones(4))
+
     def test_budget_failure_reports_leakage(self, monkeypatch):
         monkeypatch.setattr(filters, "SUPPORT_BUDGET_CONST", 0.02)
         with pytest.raises(FilterBuildError) as err:
@@ -222,6 +227,17 @@ class TestCacheFile:
         assert np.array_equal(got.offsets, fp.offsets)
         assert np.array_equal(got.taps, fp.taps)
         assert got.leakage == fp.leakage
+
+    def test_rejects_gapped_offsets(self, tmp_path, filter_cache):
+        # the second tap is in the window's tail, so without it the window
+        # would still pass the leakage check; the fold needs one run
+        fp = filter_cache.get(1024, 32, 1e-3, 0.25)
+        pairs = np.column_stack((fp.offsets, fp.taps)).astype("<f8")
+        header = np.array([fp.n, fp.buckets, fp.delta, fp.alpha], dtype="<f8")
+        path = tmp_path / "gapped.fil"
+        path.write_bytes(b"SQFL" + header.tobytes() + np.delete(pairs, 1, axis=0).tobytes())
+        with pytest.raises(ValueError, match="one run"):
+            load_filter(path)
 
     @pytest.mark.parametrize("row, col, value", [
         (10, 1, float("nan")),  # tap: NaN would pass the leakage check

@@ -1,10 +1,11 @@
+import functools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from setquery import harness
+from setquery import cli, harness
 from setquery.cli import main
 from setquery.harness import (
     ConfigError,
@@ -370,6 +371,30 @@ class TestCli:
             assert main(args) == 2, args
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("cannot run: ") and err.count("\n") == 1, args
+
+    def test_unwritable_out_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", ran.append)
+        # the parser reads the suite's defaults from its signature
+        suite = functools.wraps(cli.run_verification_suite)(lambda **kw: ran.append(kw))
+        monkeypatch.setattr(cli, "run_verification_suite", suite)
+        out = str(tmp_path / "no-dir" / "x.jsonl")
+        for args in [["query", "--n", "65536", "--k", "32", "--trials", "20"],
+                     ["verify", "--n", "256", "--trials", "10"]]:
+            assert main(args + ["--out", out]) == 2, args
+            assert capsys.readouterr().err.startswith("cannot run: ")
+        assert ran == []
+
+    def test_filter_info_gapped_cache_exits_2(self, tmp_path, capsys):
+        cache = tmp_path / "w.fil"
+        assert main(["filter-info", "--n", "1024", "--b", "32", "--save", str(cache),
+                     "--out", str(tmp_path / "info.json")]) == 0
+        raw = cache.read_bytes()
+        pairs = np.frombuffer(raw, dtype="<f8", offset=4 + 32).reshape(-1, 2)
+        cache.write_bytes(raw[: 4 + 32] + np.delete(pairs, 1, axis=0).tobytes())
+        assert main(["filter-info", "--load", str(cache)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "one run" in err
 
     @pytest.mark.parametrize("row, col, value", [
         (10, 1, float("nan")), (10, 1, float("inf")), (0, 0, -505.5), (0, 0, 1e30),

@@ -6,6 +6,8 @@ and a changed call shape would silently change the counts those spans take.
 """
 
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -13,11 +15,13 @@ import numpy as np
 
 from setquery.core import Signal
 from setquery.filters import FilterCache
-from setquery import query
+from setquery import harness, query
 
 from conftest import complex_vector
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 # dft_oracle left setquery.filters with the O(n^2) filter check, but the
 # tracer still lists it as a target; see the FOUND line in CHANGES.md.
 KNOWN_ABSENT = {"filters.dense_check"}
@@ -68,3 +72,43 @@ def test_query_path_spans_carry_what_the_benchmark_reads():
         assert names.count(name) == len(report.iterations), name
     evs = {i for i, s in enumerate(tr.spans) if s.name == "query.estimate_values"}
     assert all(s.parent in evs for s in tr.spans if s.name == "bins.hash_to_bins")
+
+
+def test_traced_queries_give_every_per_layer_metric():
+    # sublinear-warm's and multi-round's shapes: the sampling profile at
+    # (2^18, k=8) and (2^16, k=32), superset queries on planted-sparse
+    # signals; the second runs two rounds, the first subtracting nothing
+    tracer = load_tracer()
+    rng = np.random.default_rng(5)
+    profile = {"delta": 0.2, "gamma": 1 / 16, "const_c": 1.0, "alpha_const": 1.25}
+    cache = FilterCache()
+    with tracer.Tracer() as tr:
+        cases = []
+        for n, k in ((1 << 18, 8), (1 << 16, 32)):
+            # looked up on the module, where the tracer patched them
+            x, _, support = harness.generate_signal("planted-sparse", n, k // 2, rng)
+            cases.append((x, harness.build_query_set("superset", support, n, k, rng)))
+        reports = []
+        for j, (x, S) in enumerate(cases):
+            tr.query = j
+            reports.append(query.set_query(x, S, eps=0.5, rng=rng, filters=cache, **profile))
+        tr.query = -1
+    assert [len(r.iterations) for r in reports] == [1, 2]
+
+    metrics = tracer.layer_metrics(tr.spans, len(cases), tr.absent)
+    # perfbench/run.py adds the trace.* pair from its own timed loops
+    names = [m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]]
+    wanted = [name for name in names if not name.startswith("trace.")]
+    assert [name for name in wanted if name not in metrics] == []
+    assert all(math.isfinite(metrics[name][0]) for name in wanted)
+    line = {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()}
+    json.loads(json.dumps(line, allow_nan=False))
+
+    # each round reads once and transforms once, B points, inside its bucketing
+    rounds = [i for i, s in enumerate(tr.spans) if s.name == "bins.hash_to_bins"]
+    buckets = [it.buckets for r in reports for it in r.iterations]
+    assert len(rounds) == len(buckets)
+    for i, B in zip(rounds, buckets):
+        inside = [s for s in tr.spans if s.parent == i]
+        assert [s.name for s in inside] == ["permutation.permute_time_many", "bins.fft"]
+        assert inside[1].counts == {"points": B}
