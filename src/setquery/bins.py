@@ -18,13 +18,14 @@ calibration test at n=64.
 The shift b enters only the phase omega**(c*t), c = sigma*b mod n, never the
 indices read.  So the window is read once through the b-free draw
 (sigma, a, 0), and the phase is paid after the taps are folded: the filter's
-offsets form one run t0 + q*B + j, so omega**(c*t) is a row phase
-omega**(c*(t0 + q*B)) times a column phase omega**(c*j).  The fold is one
-contraction of the rows with their row phases; the column phase, and the
-rotation of column j to bin (t0 + j) mod B after the FFT, act on B values.
-Per tap the call does one index computation, one counted read and one real
-multiply by the tap; the phases cost one :func:`~setquery.permutation.twiddle`
-call of ceil(L/B) + O(sqrt B) exponents, laid out once per filter by
+offsets form one run, cut into rows at multiples of B, so tap t = r + j in
+the row starting at r (a multiple of B) belongs to bin column j, and
+omega**(c*t) is a row phase omega**(c*r) times a column phase omega**(c*j).
+The fold is one contraction of the rows with their row phases; the column
+phase acts on B values.  Per tap the call does one index computation, one
+counted read and one real scaling by the tap; the phases cost one
+:func:`~setquery.permutation.twiddle` call of ceil(L/B) + O(sqrt B)
+exponents (ceil(L/B) + B for a small B), laid out once per filter by
 :attr:`~setquery.filters.FilterPair.fold`.
 
 The running estimate zhat is subtracted exactly, with the same phase: each
@@ -72,9 +73,8 @@ def hash_to_bins(
 
     phase = twiddle(n, ((p.sigma * p.b) & (n - 1)) * fold.exponents)
     v = _contract_rows(x, p, fp, phase[: fold.rows])
-    _times_progression(v, phase[fold.rows :], fold.width)  # the column phase
+    _times_column_phase(v, phase[fold.rows :], fold.width)
     u_hat = fft_raw(v, inverse=False, out=v)  # in place: one length-B buffer
-    _times_progression(u_hat, fold.ramp, fold.width)  # column j to bin (t0 + j) mod B
 
     if z is not None and len(z) > 0:
         s = z.support
@@ -86,29 +86,36 @@ def hash_to_bins(
 def _contract_rows(x: Signal, p: PermutationParams, fp: FilterPair, row_phase) -> np.ndarray:
     """The window read under (sigma, a, 0), times the taps, summed over rows by phase.
 
-    Row q holds taps q*B ... q*B + B-1 of the run; the last row may be
-    short.  The read buffer is dropped on return, so at B = n no more than
-    two length-n buffers are alive at once.
+    Rows are cut at multiples of B (:class:`~setquery.filters.FoldLayout`):
+    a partial first row from column ``first_column``, whole rows contracted
+    by one ``np.dot``, a short last row.  The read buffer is dropped on
+    return, so at B = n no more than two length-n buffers are alive at once.
     """
-    B = fp.buckets
+    B, first = fp.buckets, fp.fold.first_column
     y = permute_time_many(x, PermutationParams(p.sigma, p.a, 0, p.n), fp.offsets)
-    re_im = y.view(np.float64)  # real and imaginary parts, interleaved
-    re_im *= fp.fold.taps2
-    full = y.size // B
-    v = np.dot(row_phase[:full], y[: full * B].reshape(full, B))
-    if full < row_phase.size:  # the short last row, phased in place
-        last = y[full * B :]
-        last *= row_phase[full]
-        v[: last.size] += last
+    y *= fp.taps
+    head = min(-first % B, y.size)  # taps before the first multiple of B
+    full = (y.size - head) // B
+    q = int(head > 0)  # row_phase index of the first whole row
+    v = np.dot(row_phase[q : q + full], y[head : head + full * B].reshape(full, B))
+    for part, column, row in ((y[:head], first, 0), (y[head + full * B :], 0, -1)):
+        if part.size:  # a partial row, phased in place
+            part *= row_phase[row]
+            v[column : column + part.size] += part
     return v
 
 
-def _times_progression(a: np.ndarray, factors: np.ndarray, width: int) -> None:
-    """Scale a[j], j = hi*width + lo, by factors[hi] * factors[B/width + lo], in place.
+def _times_column_phase(a: np.ndarray, factors: np.ndarray, width: int) -> None:
+    """Scale a[j] by its column phase, in place.
 
-    Two broadcasts over a's rows and columns of ``width``, so no length-B
-    factor array is made.
+    With ``width`` = B, ``factors[j]`` is column j's phase.  Otherwise it is
+    factors[hi] * factors[B/width + lo] for j = hi*width + lo, applied as two
+    broadcasts over a's rows and columns of ``width``, so no length-B factor
+    array is made.
     """
+    if width == a.size:
+        a *= factors
+        return
     grid = a.reshape(-1, width)
     grid *= factors[:-width, None]
     grid *= factors[-width:]

@@ -9,9 +9,10 @@ unreadable or unwritable path, or an n too large to allocate.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import inspect
+import io
 import json
+import os
 import sys
 
 from .filters import FilterBuildError, build_filter, load_filter, save_filter
@@ -196,14 +197,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Raise ``OSError`` if ``path`` cannot be opened for writing; change no file."""
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # --out is opened before any work, so a path it cannot write costs nothing
-        with (contextlib.nullcontext(sys.stdout) if args.out is None
-              else open(args.out, "w")) as out:
-            return args.func(args, out)
+        if args.out is None:
+            return args.func(args, sys.stdout)
+        _check_writable(args.out)  # before any work, so a path it cannot write costs nothing
+        out = io.StringIO()
+        code = args.func(args, out)
+        # written only once the command returns, so a run that fails keeps the old file
+        with open(args.out, "w") as fh:
+            fh.write(out.getvalue())
+        return code
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return EXIT_BAD_CONFIG

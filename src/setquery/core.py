@@ -327,7 +327,8 @@ def fft_raw(x, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarr
     """
     v = np.asarray(x, dtype=np.complex128)
     require_power_of_two(v.shape[0])
-    return np.fft.ifft(v, norm="forward", out=out) if inverse else np.fft.fft(v, out=out)
+    kw = {} if out is None else {"out": out}  # numpy < 2.0 has no out=
+    return np.fft.ifft(v, norm="forward", **kw) if inverse else np.fft.fft(v, **kw)
 
 
 def fft(x) -> np.ndarray:

@@ -39,7 +39,6 @@ import numpy as np
 from scipy.special import erfc, erfcinv
 
 from .core import fft_raw, require_integral, require_power_of_two
-from .permutation import twiddle
 
 __all__ = [
     "FilterPair",
@@ -53,6 +52,9 @@ __all__ = [
 # Support cap multiplier in units of B*log(n/delta)/alpha; generous relative
 # to the ~1.2 the Gaussian construction needs, so organic builds never hit it.
 SUPPORT_BUDGET_CONST = 4.0
+# Largest B whose column phase a draw computes one value per column: there a
+# B-entry twiddle costs less than two progressions' broadcasts.
+COLUMN_PHASE_DIRECT_MAX = 256
 
 
 class FilterBuildError(RuntimeError):
@@ -106,23 +108,24 @@ def _check_params(n, buckets, delta, alpha) -> tuple[int, int]:
 class FoldLayout(NamedTuple):
     """A filter's taps laid out for the fold of :func:`~setquery.bins.hash_to_bins`.
 
-    The offsets form one run t0, t0+1, ..., t0+L-1, so tap i sits at
-    t0 + q*B + j in row q = i // B and column j = i % B, and a draw's phase
-    omega**(c*t) is a row phase omega**(c*(t0 + q*B)) times a column phase
-    omega**(c*j).  ``exponents`` holds every exponent a draw needs, so one
+    The offsets form one run t0, t0+1, ..., t0+L-1, and the fold cuts it at
+    multiples of B: tap t sits in column j = t mod B of a row starting at
+    t - j, the first row from column ``first_column`` = t0 mod B, the last
+    possibly short.  Column j sums bin j's taps, so the B-point FFT needs no
+    shift, and a draw's phase omega**(c*t) is a row phase
+    omega**(c*(t - j)) times a column phase omega**(c*j).  ``exponents``
+    holds every exponent a draw needs, so one
     :func:`~setquery.permutation.twiddle` call gives them all: the ``rows``
-    row starts, then the column progressions hi*width (hi < B/width) and lo
-    (lo < width), with j = hi*width + lo.  ``ramp`` holds the same two
-    progressions of omega_B**(f*t0) over the bins f: after the B-point FFT it
-    moves column j to bin (t0 + j) mod B.  ``taps2`` repeats each tap twice,
-    to scale a complex buffer's float view.
+    row starts, then the column exponents: j itself for B up to
+    ``COLUMN_PHASE_DIRECT_MAX``, else the two progressions hi*width
+    (hi < B/width) and lo (lo < width), with j = hi*width + lo, so no
+    length-B exponent or phase array is made for a large B.
     """
 
-    rows: int  # ceil(L / B)
-    width: int  # 2**ceil(log2(B) / 2)
+    rows: int  # ceil((first_column + L) / B)
+    first_column: int
+    width: int  # B, or 2**ceil(log2(B) / 2) above COLUMN_PHASE_DIRECT_MAX
     exponents: np.ndarray
-    ramp: np.ndarray
-    taps2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,7 @@ class FilterPair:
 
     def __post_init__(self) -> None:
         t = self.offsets
-        if t.size and t[-1] - t[0] != t.size - 1:
+        if not (np.diff(t) == 1).all():
             raise ValueError("a filter's offsets must form one run of consecutive integers")
 
     @property
@@ -164,13 +167,16 @@ class FilterPair:
     @functools.cached_property
     def fold(self) -> FoldLayout:
         """How :func:`~setquery.bins.hash_to_bins` folds the taps; derived once."""
-        n, B, t = self.n, self.buckets, self.offsets
+        B, t = self.buckets, self.offsets
         t0 = int(t[0]) if t.size else 0
-        rows, width = -(-t.size // B), 1 << (B.bit_length() // 2)
-        columns = np.concatenate((np.arange(0, B, width), np.arange(width)))
-        exponents = np.concatenate((np.arange(t0, t0 + rows * B, B), columns))
-        ramp = twiddle(n, columns * ((n // B) * (t0 % B)))
-        return FoldLayout(rows, width, exponents, ramp, np.repeat(self.taps, 2))
+        first, rows = t0 % B, -(-(t0 % B + t.size) // B)
+        if B <= COLUMN_PHASE_DIRECT_MAX:
+            width, columns = B, [np.arange(B)]
+        else:
+            width = 1 << (B.bit_length() // 2)
+            columns = [np.arange(0, B, width), np.arange(width)]
+        exponents = np.concatenate([np.arange(t0 - first, t0 + t.size, B), *columns])
+        return FoldLayout(rows, first, width, exponents)
 
     @property
     def flat_radius(self) -> float:

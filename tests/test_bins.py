@@ -166,6 +166,10 @@ def run_filter(name, tmp_path, rng):
 
     if name == "L<B":
         return hand_built(1024, 64, np.arange(-20, 17))
+    if name == "inside one row":
+        return hand_built(1024, 64, np.arange(3, 20))
+    if name == "head, whole rows, no tail":
+        return hand_built(1024, 32, np.arange(-10, 64))
     if name == "L=4B":
         return hand_built(1024, 32, np.arange(-64, 64))
     if name == "L%B>0, t0>0":
@@ -179,7 +183,8 @@ def run_filter(name, tmp_path, rng):
 
 
 class TestFold:
-    @pytest.mark.parametrize("name", ["L<B", "L=4B", "L%B>0, t0>0", "built", "B=n", "loaded"])
+    @pytest.mark.parametrize("name", ["L<B", "inside one row", "head, whole rows, no tail",
+                                      "L=4B", "L%B>0, t0>0", "built", "B=n", "loaded"])
     def test_matches_per_tap_bins(self, name, tmp_path, rng):
         fp = run_filter(name, tmp_path, rng)
         n, L, B = fp.n, fp.support_size, fp.buckets

@@ -96,6 +96,14 @@ class TestFft:
         x = complex_vector(rng, 64)
         assert np.max(np.abs(inverse_fft(fft(x)) - x)) <= 1e-12
 
+    def test_runs_without_out_keyword(self, rng, monkeypatch):
+        # numpy before 2.0 has no out= on np.fft.fft and np.fft.ifft
+        forward, inverse = np.fft.fft, np.fft.ifft
+        monkeypatch.setattr(np.fft, "fft", lambda a: forward(a))
+        monkeypatch.setattr(np.fft, "ifft", lambda a, norm=None: inverse(a, norm=norm))
+        x = complex_vector(rng, 64)
+        assert np.max(np.abs(inverse_fft(fft(x)) - x)) <= 1e-12
+
 
 class TestTailNorm:
     def test_frozen_example(self):

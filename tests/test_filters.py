@@ -66,8 +66,9 @@ class TestBuildValidation:
 
     def test_offsets_must_form_one_run(self):
         # the fold of hash_to_bins places tap i at offsets[0] + i
-        with pytest.raises(ValueError, match="one run"):
-            filters.FilterPair(256, 32, 1e-3, 0.25, np.array([-2, -1, 1, 2]), np.ones(4))
+        for offsets in ([-2, -1, 1, 2], [0, 2, 1, 3], [0, 0, 2]):
+            with pytest.raises(ValueError, match="one run"):
+                filters.FilterPair(256, 32, 1e-3, 0.25, np.array(offsets), np.ones(len(offsets)))
 
     def test_budget_failure_reports_leakage(self, monkeypatch):
         monkeypatch.setattr(filters, "SUPPORT_BUDGET_CONST", 0.02)

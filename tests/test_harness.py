@@ -385,6 +385,17 @@ class TestCli:
             assert capsys.readouterr().err.startswith("cannot run: ")
         assert ran == []
 
+    def test_out_is_written_only_when_the_command_returns(self, tmp_path, capsys):
+        old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        old.write_text("kept\n")
+        for out in (old, new):
+            assert main(["bench", "--require-success-rate", "2", "--out", str(out)]) == 2
+        assert old.read_text() == "kept\n" and not new.exists()
+        cache = tmp_path / "w.fil"
+        assert main(["filter-info", "--n", "256", "--b", "16", "--save", str(cache)]) == 0
+        assert main(["filter-info", "--load", str(cache), "--out", str(cache)]) == 0
+        assert json.loads(cache.read_text())["n"] == 256
+
     def test_filter_info_gapped_cache_exits_2(self, tmp_path, capsys):
         cache = tmp_path / "w.fil"
         assert main(["filter-info", "--n", "1024", "--b", "32", "--save", str(cache),
