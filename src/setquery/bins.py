@@ -22,8 +22,10 @@ offsets form one run, cut into rows at multiples of B, so tap t = r + j in
 the row starting at r (a multiple of B) belongs to bin column j, and
 omega**(c*t) is a row phase omega**(c*r) times a column phase omega**(c*j).
 The fold is one contraction of the rows with their row phases; the column
-phase acts on B values.  Per tap the call does one index computation, one
-counted read and one real scaling by the tap; the phases cost one
+phase acts on B values.  Per tap the call computes one index (the window is
+one :class:`~setquery.core.IndexRun`, so the read's indices are one arange
+reduced mod n in place, and the ledger records the run in O(1) rather than
+per tap), gathers one sample and scales it by the tap; the phases cost one
 :func:`~setquery.permutation.twiddle` call of ceil(L/B) + O(sqrt B)
 exponents (ceil(L/B) + B for a small B), laid out once per filter by
 :attr:`~setquery.filters.FilterPair.fold`.
@@ -92,7 +94,7 @@ def _contract_rows(x: Signal, p: PermutationParams, fp: FilterPair, row_phase) -
     return, so at B = n no more than two length-n buffers are alive at once.
     """
     B, first = fp.buckets, fp.fold.first_column
-    y = permute_time_many(x, PermutationParams(p.sigma, p.a, 0, p.n), fp.offsets)
+    y = permute_time_many(x, PermutationParams(p.sigma, p.a, 0, p.n), fp.run)
     y *= fp.taps
     head = min(-first % B, y.size)  # taps before the first multiple of B
     full = (y.size - head) // B

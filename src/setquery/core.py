@@ -8,12 +8,14 @@ and all vector lengths are powers of two.
 
 from __future__ import annotations
 
+import operator
 import threading
 
 import numpy as np
 
 __all__ = [
     "Signal",
+    "IndexRun",
     "SparseSpectrum",
     "dft_oracle",
     "inverse_dft_oracle",
@@ -35,6 +37,9 @@ _NO_ENTRIES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128))
 # n // LEDGER_ARRAY_DIVISOR indices (an eighth of a length-n bool mask's
 # bytes), and is a length-n bool mask past that.
 LEDGER_ARRAY_DIVISOR = 64
+# A ledger records at most this many runs (see IndexRun) before it turns
+# them into indices; each new run is checked against every earlier one.
+LEDGER_RUN_CAP = 8
 
 
 def _distinct_sorted(a: np.ndarray) -> np.ndarray:
@@ -51,7 +56,8 @@ def index_array(indices):
     """Indices as int64: the one rule of every entry that takes indices.
 
     An integer array, scalar or iterable (a set, range or generator too) is
-    read as int64, and int64 input or a Python int is returned as it is.
+    read as int64 (an :class:`IndexRun` as its indices), and int64 input or
+    a Python int is returned as it is.
     A float, bool, str or object entry raises ``TypeError`` rather than being
     truncated; empty input is an empty int64 array.
     """
@@ -100,26 +106,133 @@ def require_integral(value, name: str) -> int:
     return int(value)
 
 
+class IndexRun:
+    """The indices start + step*j for j < size: one arithmetic progression.
+
+    A filter's window is one run of offsets, and a permuted window one run
+    of indices, so :meth:`Signal.read_many` can record such a read in O(1)
+    instead of sorting or marking it.  ``size`` is the number of indices,
+    and ``np.asarray(run)`` gives them as int64 (congruent mod 2**64 where
+    they leave the int64 range, as int64 arithmetic wraps), so code that
+    does not know about runs, :func:`index_array` among it, sees the same
+    indices.  ``run - a`` and ``c * run`` for an integer a or c are runs.
+    """
+
+    __slots__ = ("start", "step", "size")
+
+    def __init__(self, start, step, size) -> None:
+        self.start, self.step, self.size = map(operator.index, (start, step, size))
+        if self.size < 0:
+            raise ValueError(f"a run's size must be >= 0, got {self.size}")
+
+    def __repr__(self) -> str:
+        return f"IndexRun({self.start}, {self.step}, {self.size})"
+
+    def __sub__(self, other):
+        if not isinstance(other, (int, np.integer)):
+            return NotImplemented  # an array operand reads the run as its indices
+        return IndexRun(self.start - int(other), self.step, self.size)
+
+    def __mul__(self, other):
+        if not isinstance(other, (int, np.integer)):
+            return NotImplemented
+        return IndexRun(self.start * int(other), self.step * int(other), self.size)
+
+    __rmul__ = __mul__
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        start, step, stop = self.start, self.step, self.start + self.step * self.size
+        if step and max(abs(start), abs(stop)) < 1 << 62:  # one exact arange
+            a = np.arange(start, stop, step, dtype=np.int64)
+        else:  # wrapped into int64 first: congruent mod 2**64
+            a = np.arange(self.size, dtype=np.int64)
+            a *= _wrap64(step)
+            a += _wrap64(start)
+        return a if dtype is None else a.astype(dtype, copy=False)
+
+
+def _wrap64(v: int) -> int:
+    """The int64 value congruent to ``v`` mod 2**64."""
+    return (v + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
+def _in_run(idx: np.ndarray, run: IndexRun, n: int) -> np.ndarray:
+    """Whether each of ``idx`` (in [0, n)) is an index of ``run`` mod n.
+
+    ``run`` has an odd step, so i = start + step*j mod n for exactly one j
+    in [0, n), j = (i - start) * step**-1 mod n, and i is in the run iff
+    that j is below its size.  The product may wrap in int64; n divides
+    2**64, so the residue is exact.
+    """
+    return ((idx - run.start) * pow(run.step, -1, n)) & (n - 1) < run.size
+
+
+def _run_overlap(run: IndexRun, runs: list[IndexRun], n: int) -> int:
+    """How many indices of ``run`` some run of ``runs`` already holds.
+
+    Every run has an odd step and a size of at most n, so its indices are
+    distinct mod n.  The count goes over the smaller side: ``run``'s
+    indices tested against each earlier run, or each earlier run's indices
+    tested against ``run`` and against the runs before it, so an index two
+    earlier runs share is counted once.
+    """
+    if not runs:
+        return 0
+    if run.size <= sum(r.size for r in runs):
+        idx = np.asarray(run) & (n - 1)
+        held = np.zeros(idx.size, dtype=bool)
+        for r in runs:
+            held |= _in_run(idx, r, n)
+        return int(np.count_nonzero(held))
+    shared = 0
+    for i, r in enumerate(runs):
+        idx = np.asarray(r) & (n - 1)
+        new = _in_run(idx, run, n)
+        for earlier in runs[:i]:
+            new &= ~_in_run(idx, earlier, n)
+        shared += int(np.count_nonzero(new))
+    return shared
+
+
 class _Ledger:
     """The distinct indices one reader has read, and how many there are.
 
-    ``read`` is a sorted int64 array of them while it holds at most
-    ``n // LEDGER_ARRAY_DIVISOR``; past that ``read`` is None and ``mask``
-    is a length-n bool mask, counted when asked.
+    A ledger starts as a list ``runs`` of :class:`IndexRun` reads, each of
+    distinct indices mod n, and counts a new one by its overlap with the
+    earlier ones (:func:`_run_overlap`), and holds no index array or mask.
+    An array read, or a run past ``LEDGER_RUN_CAP``, turns the runs into
+    indices for good (``runs`` is None).  Then ``read`` is a sorted int64
+    array of them while it holds at most ``n // LEDGER_ARRAY_DIVISOR``;
+    past that ``read`` is None and ``mask`` is a length-n bool mask, counted
+    when asked.
     """
 
-    __slots__ = ("n", "read", "mask", "count")
+    __slots__ = ("n", "runs", "read", "mask", "count")
 
     def __init__(self, n: int) -> None:
         self.n = n
+        self.runs: list[IndexRun] | None = []
         self.read: np.ndarray | None = np.empty(0, dtype=np.int64)
         self.mask: np.ndarray | None = None
         self.count: int | None = 0
 
-    def add(self, idx: np.ndarray, distinct: np.ndarray | None) -> np.ndarray | None:
-        """Record ``idx`` (in [0, n)); ``distinct`` is its sorted distinct form
-        if an earlier ledger made it.  Returns that form, made here by an array
-        ledger for a read short enough to hold, or None."""
+    def add(self, idx: np.ndarray, run: IndexRun | None,
+            distinct: np.ndarray | None) -> np.ndarray | None:
+        """Record ``idx`` (in [0, n)); ``run`` is the same read as a run of
+        distinct indices mod n, or None.  ``distinct`` is the read's sorted
+        distinct form if an earlier ledger made it.  Returns that form, made
+        here by an array ledger for a read short enough to hold, or None."""
+        if self.runs is not None:
+            if run is not None and len(self.runs) < LEDGER_RUN_CAP:
+                self.count += run.size - _run_overlap(run, self.runs, self.n)
+                self.runs.append(run)
+                return distinct
+            runs, self.runs = self.runs, None
+            if runs:
+                self._add_indices(np.concatenate(runs, dtype=np.int64) & (self.n - 1), None)
+        return self._add_indices(idx, distinct)
+
+    def _add_indices(self, idx: np.ndarray, distinct: np.ndarray | None) -> np.ndarray | None:
         if self.read is not None:
             if distinct is None and idx.size <= self.n // LEDGER_ARRAY_DIVISOR:
                 distinct = _distinct_sorted(np.sort(idx, axis=None))
@@ -149,18 +262,22 @@ class Signal:
     Reads go through :meth:`read_many`, which records the indices it touches
     in a read ledger; :attr:`samples_used` is the number of distinct indices
     recorded and is the sample-complexity charge of whatever ran against the
-    signal.  The count only grows (multiplicity is free).  A ledger is a
-    sorted index array while it holds at most ``n // LEDGER_ARRAY_DIVISOR``
-    indices, so a sublinear reader allocates nothing of length n and its
-    count is the array's length; past that it is a length-n bool mask.
-    Recording is lock-protected so concurrent bucketing calls stay
-    consistent.
+    signal.  The count only grows (multiplicity is free).  A ledger first
+    records :class:`IndexRun` reads as runs, up to ``LEDGER_RUN_CAP`` of
+    them, counting each new run's overlap with the earlier ones over the
+    smaller side, so a query that reads one run per round neither sorts its
+    reads nor marks a length-n mask.  After an array read or past
+    the cap, a ledger is a sorted index array while it holds at most
+    ``n // LEDGER_ARRAY_DIVISOR`` indices, so a sublinear reader still
+    allocates nothing of length n and its count is the array's length; past
+    that it is a length-n bool mask.  Recording is lock-protected so
+    concurrent bucketing calls stay consistent.
 
     :meth:`session` returns a per-query view with its own ledger over the
     same buffer; its reads are also recorded in the ledger of the signal it
     came from.  A read goes down that chain of ledgers, is sorted at most
-    once, by the first that wants it sorted, and the sorted form is merged
-    into every array ledger after it.
+    once, by the first array ledger that wants it sorted, and the sorted
+    form is merged into every array ledger after it.
 
     :attr:`data` exposes the raw buffer for reference transforms and test
     oracles; it deliberately does not count, so dense ground-truth evaluation
@@ -190,13 +307,25 @@ class Signal:
 
     def read_many(self, indices) -> np.ndarray:
         """Vectorized counted read of ``x[i mod n]``; duplicates are charged once.
-        A float, bool or string index (see :func:`index_array`) raises
-        ``TypeError`` before any ledger is charged."""
-        idx = np.asarray(index_array(indices), np.int64) & (self.n - 1)  # mod n, a power of two
+
+        An :class:`IndexRun` with an odd step and at most n indices, which
+        are then distinct mod n, is gathered through one arange and recorded
+        as a run; any other input is read by :func:`index_array`, so a
+        float, bool or string index raises ``TypeError`` before any ledger
+        is charged.
+        """
+        n = self.n
+        run = None
+        if type(indices) is IndexRun and indices.step & 1 and indices.size <= n:
+            run = IndexRun(indices.start & (n - 1), indices.step & (n - 1), indices.size)
+            idx = np.asarray(run)
+            idx &= n - 1  # mod n, a power of two
+        else:
+            idx = np.asarray(index_array(indices), np.int64) & (n - 1)
         with self._lock:
             distinct = None
             for ledger in self._ledgers:
-                distinct = ledger.add(idx, distinct)
+                distinct = ledger.add(idx, run, distinct)
         return self._values[idx]
 
     @property

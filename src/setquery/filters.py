@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erfc, erfcinv
 
-from .core import fft_raw, require_integral, require_power_of_two
+from .core import IndexRun, fft_raw, require_integral, require_power_of_two
 
 __all__ = [
     "FilterPair",
@@ -163,6 +163,11 @@ class FilterPair:
         return float(
             self.support_size * self.alpha / (self.buckets * np.log(self.n / self.delta))
         )
+
+    @functools.cached_property
+    def run(self) -> IndexRun:
+        """``offsets`` as one :class:`~setquery.core.IndexRun`, the read a ledger records in O(1)."""
+        return IndexRun(self.offsets[0] if self.offsets.size else 0, 1, self.offsets.size)
 
     @functools.cached_property
     def fold(self) -> FoldLayout:

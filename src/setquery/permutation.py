@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import index_array, require_integral, require_power_of_two
+from .core import IndexRun, index_array, require_integral, require_power_of_two
 
 __all__ = [
     "PermutationParams",
@@ -157,10 +157,13 @@ def modulation(p: PermutationParams, t) -> np.ndarray:
 def permute_time_many(x, p: PermutationParams, indices) -> np.ndarray:
     """Vectorized (P x)_i over an index array; one counted read per index.
 
-    A draw whose sigma*b is 0 mod n returns the samples as read, since its
+    For one draw, an :class:`~setquery.core.IndexRun` of indices t stays
+    one: the read sigma*(t - a) is then a run too, which the signal records
+    in O(1).  A
+    draw whose sigma*b is 0 mod n returns the samples as read, since its
     phase omega**0 is exactly 1.
     """
-    t = index_array(indices)
+    t = indices if type(indices) is IndexRun else index_array(indices)
     samples = x.read_many(p.sigma * (t - p.a))
     c = (p.sigma * p.b) & (p.n - 1)
     if type(c) is int and c == 0:

@@ -217,11 +217,14 @@ def set_query(
     diagnostics.  The estimate is a :class:`SparseSpectrum` whose sorted
     support and values are arrays; each round's resolved coefficients are
     merged in as arrays.  The count is read from the ledger of
-    ``x.session()``, which for a sublinear query is a sorted index array of
-    at most ``n // LEDGER_ARRAY_DIVISOR`` reads, so such a query allocates
-    nothing of length n.  With probability at least 9/10 over
-    the internal randomness, its l2 error on the set is bounded by the query
-    tolerance terms (the mass outside the set scaled by eps plus delta leakage).
+    ``x.session()``.  Each round reads its filter's window as one run of
+    indices (:class:`~setquery.core.IndexRun`); the ledger records it in
+    O(1) and counts its overlap with earlier rounds' runs over the smaller
+    side, so a query of up to ``LEDGER_RUN_CAP`` rounds neither sorts its
+    reads nor allocates a length-n ledger mask.  With probability at least
+    9/10 over the internal randomness, its l2 error on the set is bounded by
+    the query tolerance terms (the mass outside the set scaled by eps plus
+    delta leakage).
     """
     t0 = time.perf_counter_ns()
     S = query_array(query_set, x.n)

@@ -222,7 +222,10 @@ class TestFold:
         ((1 << 14, 1 << 14, 1e-3, 0.005), 1 << 14),  # dense-warm's B = n
     ])
     def test_warm_call_peak_memory(self, key, taps, rng, filter_cache):
-        # at most 2.5 times the 16*L bytes of the complex read buffer
+        # at most 1.75 times the 16*L bytes of the complex read buffer: the
+        # gather holds one length-L index array besides it.  At B = n the
+        # fold's length-B sum is a second buffer as long as the read: 2.5
+        ratio = 2.5 if key[1] == key[0] else 1.75
         fp = filter_cache.get(*key)
         assert fp.support_size == taps
         x = Signal(complex_vector(rng, fp.n))
@@ -234,7 +237,7 @@ class TestFold:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 16 * taps
+        assert peak <= ratio * 16 * taps
 
 
 class TestAccounting:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from setquery.core import (
     LEDGER_ARRAY_DIVISOR,
+    LEDGER_RUN_CAP,
+    IndexRun,
     Signal,
     SparseSpectrum,
     dft_oracle,
@@ -17,6 +19,7 @@ from setquery.core import (
     query_array,
     restrict,
     tail_norm,
+    _in_run,
 )
 
 from setquery.query import set_query
@@ -354,6 +357,114 @@ class TestLedger:
         assert view.samples_used == x.samples_used == 10
         view.read_many([n + 4, 7])  # 4 was read already
         assert view.samples_used == x.samples_used == 11
+
+
+def _residues(read, n):
+    """Each index of a read mod n, in order, by Python ints: the ledger oracle."""
+    if isinstance(read, IndexRun):
+        return [(read.start + read.step * j) % n for j in range(read.size)]
+    return [int(i) % n for i in read]
+
+
+class TestRunLedger:
+    """Runs and index arrays mixed: every count stays ``len(set(i mod n))``."""
+
+    N = 256  # array ledgers hold at most N // LEDGER_ARRAY_DIVISOR = 4 indices
+
+    def _replay(self, reads):
+        n = self.N
+        v = np.arange(n, dtype=complex)
+        x = Signal(v)
+        readers = {"x": x, "first": x.session(), "second": x.session()}
+        seen = {name: set() for name in readers}
+        for name, read in reads:
+            residues = _residues(read, n)
+            assert np.array_equal(readers[name].read_many(read), v[residues])
+            for charged in {name, "x"}:
+                seen[charged].update(residues)
+            for who, reader in readers.items():
+                assert reader.samples_used == len(seen[who]), (who, name, read)
+        return readers
+
+    runs = st.builds(IndexRun, st.integers(-(1 << 62), 1 << 62), st.integers(-3 * N, 3 * N),
+                     st.integers(0, N + 3))  # even steps and sizes past n too
+    arrays = st.lists(st.integers(-3 * N, 3 * N), max_size=12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["x", "first", "second"]),
+                              st.one_of(runs, runs, runs, arrays)),
+                    max_size=2 * LEDGER_RUN_CAP + 4))
+    def test_count_after_every_read(self, reads):
+        self._replay(reads)
+
+    def test_runs_stay_runs_up_to_the_cap(self):
+        n = self.N
+        reads = [
+            IndexRun(0, 1, 10), IndexRun(5, 1, 10),  # overlapping runs
+            IndexRun(-n, 1, 100),  # larger than both: counted over their side
+            IndexRun(7 + 5 * n, 3, 0), IndexRun(3 * n + 1, -5, n),  # empty; all of n
+            IndexRun(1 << 40, 7, 40), IndexRun(-(1 << 50), 1, 3), IndexRun(100, 9, 200),
+        ]
+        assert len(reads) == LEDGER_RUN_CAP
+        readers = self._replay([("first", r) for r in reads])
+        for ledger in readers["first"]._ledgers:
+            assert ledger.runs is not None and ledger.mask is None
+            assert ledger.read.size == 0  # nothing sorted, nothing marked
+        readers = self._replay([("first", r) for r in reads] + [("first", IndexRun(2, 1, 3))])
+        assert all(ledger.runs is None for ledger in readers["first"]._ledgers)  # past the cap
+
+    def test_runs_that_are_not_distinct_take_the_array_path(self):
+        n = self.N
+        for run in (IndexRun(3, 2, 50), IndexRun(-7, 1, n + 1), IndexRun(5, 0, 4)):
+            readers = self._replay([("second", IndexRun(1, 1, 20)), ("second", run)])
+            assert all(ledger.runs is None for ledger in readers["second"]._ledgers)
+        readers = self._replay([("x", IndexRun(0, 1, 8)), ("x", [3, 300, -1])])  # an array read
+        assert readers["x"]._ledgers[0].runs is None
+
+    def test_runs_read_concurrently(self, rng):
+        # twice the cap, so some thread turns the runs into indices mid-way
+        n = 1024
+        x = Signal(complex_vector(rng, n))
+        view = x.session()
+        starts, steps = rng.integers(-n, 2 * n, (2, 2 * LEDGER_RUN_CAP))
+        runs = [IndexRun(a, 2 * b + 1, 150) for a, b in zip(starts, steps)]
+        _read_concurrently(view, runs)
+        seen = set().union(*(_residues(r, n) for r in runs))
+        assert view.samples_used == x.samples_used == len(seen)
+
+    def test_huge_n_arithmetic_wraps_harmlessly(self):
+        # at n = 2**62, start*step and every index pass 2**63: int64 wraps,
+        # and since n divides 2**64 the residues mod n stay exact
+        n = 1 << 62
+        sigma, a = (1 << 61) + 1, n - 5
+        base = IndexRun(-3, 1, 50)
+        for run in (sigma * (base - a), IndexRun((1 << 70) + 3, (1 << 63) + 1, 50)):
+            assert abs(run.start * run.step) > 1 << 63
+            assert np.size(run) == run.size == 50  # what the tracer counts as indices
+            want = [(run.start + run.step * j) % n for j in range(run.size)]
+            assert (np.asarray(run) & (n - 1)).tolist() == want
+            reduced = IndexRun(run.start % n, run.step % n, run.size)
+            idx = np.array(want + [(run.start - run.step) % n, (run.start + run.step * 50) % n])
+            assert _in_run(idx, reduced, n).tolist() == [True] * 50 + [False, False]
+
+    def test_one_sample_signal(self):
+        x = Signal([2j])
+        for run in (IndexRun(5, 3, 1), IndexRun(-4, 1, 1), IndexRun(0, 7, 0)):
+            assert x.read_many(run).tolist() == [2j] * run.size
+            assert x.samples_used == 1 and x._ledgers[0].runs is not None
+
+    def test_a_run_reads_as_its_indices(self):
+        run = IndexRun(-2, 3, 5)
+        assert np.asarray(run).tolist() == [-2, 1, 4, 7, 10]
+        assert np.array(run, dtype=float).dtype == np.float64
+        assert (run - 4).start == -6 and (5 * run).step == 15 == (run * 5).step
+        assert (run * np.int64(1 << 62)).start == -2 << 62  # Python ints: no int64 overflow
+        assert (run - np.array([1, 2, 3, 4, 5])).tolist() == [-3, -1, 1, 3, 5]
+        assert np.size(IndexRun(0, 1, 0)) == 0
+        with pytest.raises(TypeError):
+            IndexRun(0.5, 1, 3)
+        with pytest.raises(ValueError):
+            IndexRun(0, 1, -1)
 
 
 class TestSparseSpectrum:

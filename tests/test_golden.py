@@ -3,8 +3,12 @@
 Each file under ``tests/data/`` is the ``--no-timing`` output of one
 ``setquery query`` run; its summary line holds the config that made it.  A
 rerun must give every count, flag and per-round entry exactly, and every
-float to a relative 1e-9, so a change meant to keep behaviour cannot drift
-the estimator's outputs unnoticed.
+float within ``pytest.approx(want, rel=1e-9)``: max(1e-9*|want|, 1e-12),
+as approx keeps its default absolute 1e-12.  So a float of magnitude 1e-3
+or more is held to a relative 1e-9, and a smaller one only to an absolute
+1e-12: any rounding-level value, such as an exact recovery's
+``error_lhs``, passes.  A change meant to keep behaviour cannot drift the
+estimator's outputs unnoticed above that floor.
 
 - golden_accuracy.jsonl: ``query --n 4096 --trials 20`` (accuracy defaults)
 - golden_sampling.jsonl: ``query --n 16384 --trials 5 --delta 0.2

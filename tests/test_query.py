@@ -280,6 +280,30 @@ class TestSetQuery:
         assert rep.samples_used == x.samples_used < n // 64
         assert peak < n // 4, peak
 
+    def test_two_round_query_marks_no_ledger_mask(self, filter_cache, monkeypatch):
+        # multi-round's shape: round 2 reads a 49,323-tap window, 75% of n,
+        # and each round's read is one run, recorded without a length-n mask
+        n, k = 1 << 16, 32
+        gen = np.random.default_rng(3)
+        support = gen.choice(n, size=k, replace=False)
+        xhat = np.zeros(n, dtype=complex)
+        xhat[support] = 1.0
+        x, views = Signal(inverse_fft(xhat)), []
+        session = Signal.session
+
+        def recording_session(self):
+            views.append(session(self))
+            return views[-1]
+
+        monkeypatch.setattr(Signal, "session", recording_session)
+        rep = set_query(x, support, eps=0.5, delta=0.2, gamma=1 / 16, const_c=1.0,
+                        alpha_const=1.25, rng=np.random.default_rng(0),
+                        filters=filter_cache)
+        assert [it.filter_support for it in rep.iterations][1:] == [49323]
+        assert rep.samples_used == x.samples_used > n // 2
+        (view,) = views
+        assert all(ledger.mask is None for ledger in view._ledgers + x._ledgers)
+
     def test_reused_signal_charges_each_query_its_own_reads(
         self, rng, filter_cache, monkeypatch
     ):
