@@ -33,12 +33,8 @@ __all__ = [
 _INT64 = np.dtype(np.int64)
 _NO_ENTRIES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128))
 
-# A read ledger stays a sorted index array while it holds at most
-# n // LEDGER_ARRAY_DIVISOR indices (an eighth of a length-n bool mask's
-# bytes), and is a length-n bool mask past that.
-LEDGER_ARRAY_DIVISOR = 64
-# A ledger records at most this many runs (see IndexRun) before it turns
-# them into indices; each new run is checked against every earlier one.
+# A ledger records at most this many runs (see IndexRun) before it marks
+# them in a length-n mask; each new run is checked against every earlier one.
 LEDGER_RUN_CAP = 8
 
 
@@ -197,58 +193,36 @@ def _run_overlap(run: IndexRun, runs: list[IndexRun], n: int) -> int:
 class _Ledger:
     """The distinct indices one reader has read, and how many there are.
 
-    A ledger starts as a list ``runs`` of :class:`IndexRun` reads, each of
-    distinct indices mod n, and counts a new one by its overlap with the
-    earlier ones (:func:`_run_overlap`), and holds no index array or mask.
-    An array read, or a run past ``LEDGER_RUN_CAP``, turns the runs into
-    indices for good (``runs`` is None).  Then ``read`` is a sorted int64
-    array of them while it holds at most ``n // LEDGER_ARRAY_DIVISOR``;
-    past that ``read`` is None and ``mask`` is a length-n bool mask, counted
-    when asked.
+    A ledger has two states.  It starts as a list ``runs`` of
+    :class:`IndexRun` reads, each of distinct indices mod n, counts a new
+    one by its overlap with the earlier ones (:func:`_run_overlap`), and
+    holds no mask.  An array read, or a run past ``LEDGER_RUN_CAP``, marks
+    every index read so far in ``mask``, a length-n bool mask counted when
+    asked, and the ledger stays a mask (``runs`` is None) from then on.
     """
 
-    __slots__ = ("n", "runs", "read", "mask", "count")
+    __slots__ = ("n", "runs", "mask", "count")
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.runs: list[IndexRun] | None = []
-        self.read: np.ndarray | None = np.empty(0, dtype=np.int64)
         self.mask: np.ndarray | None = None
         self.count: int | None = 0
 
-    def add(self, idx: np.ndarray, run: IndexRun | None,
-            distinct: np.ndarray | None) -> np.ndarray | None:
+    def add(self, idx: np.ndarray, run: IndexRun | None) -> None:
         """Record ``idx`` (in [0, n)); ``run`` is the same read as a run of
-        distinct indices mod n, or None.  ``distinct`` is the read's sorted
-        distinct form if an earlier ledger made it.  Returns that form, made
-        here by an array ledger for a read short enough to hold, or None."""
+        distinct indices mod n, or None."""
         if self.runs is not None:
             if run is not None and len(self.runs) < LEDGER_RUN_CAP:
                 self.count += run.size - _run_overlap(run, self.runs, self.n)
                 self.runs.append(run)
-                return distinct
+                return
             runs, self.runs = self.runs, None
-            if runs:
-                self._add_indices(np.concatenate(runs, dtype=np.int64) & (self.n - 1), None)
-        return self._add_indices(idx, distinct)
-
-    def _add_indices(self, idx: np.ndarray, distinct: np.ndarray | None) -> np.ndarray | None:
-        if self.read is not None:
-            if distinct is None and idx.size <= self.n // LEDGER_ARRAY_DIVISOR:
-                distinct = _distinct_sorted(np.sort(idx, axis=None))
-            if distinct is not None:
-                merged = distinct if self.read.size == 0 else _distinct_sorted(
-                    np.sort(np.concatenate((self.read, distinct)), kind="stable")
-                )  # two ascending runs: the stable sort merges them in linear time
-                if merged.size <= self.n // LEDGER_ARRAY_DIVISOR:
-                    self.read, self.count = merged, merged.size
-                    return distinct
             self.mask = np.zeros(self.n, dtype=bool)
-            self.mask[self.read] = True
-            self.read = None
+            if runs:
+                self.mask[np.concatenate(runs, dtype=np.int64) & (self.n - 1)] = True
         self.mask[idx] = True
         self.count = None
-        return distinct
 
     def size(self) -> int:
         if self.count is None:
@@ -262,22 +236,18 @@ class Signal:
     Reads go through :meth:`read_many`, which records the indices it touches
     in a read ledger; :attr:`samples_used` is the number of distinct indices
     recorded and is the sample-complexity charge of whatever ran against the
-    signal.  The count only grows (multiplicity is free).  A ledger first
-    records :class:`IndexRun` reads as runs, up to ``LEDGER_RUN_CAP`` of
-    them, counting each new run's overlap with the earlier ones over the
-    smaller side, so a query that reads one run per round neither sorts its
-    reads nor marks a length-n mask.  After an array read or past
-    the cap, a ledger is a sorted index array while it holds at most
-    ``n // LEDGER_ARRAY_DIVISOR`` indices, so a sublinear reader still
-    allocates nothing of length n and its count is the array's length; past
-    that it is a length-n bool mask.  Recording is lock-protected so
-    concurrent bucketing calls stay consistent.
+    signal.  The count only grows (multiplicity is free).  A ledger records
+    :class:`IndexRun` reads as runs, up to ``LEDGER_RUN_CAP`` of them,
+    counting each new run's overlap with the earlier ones over the smaller
+    side, so a query that reads one run per round neither sorts its reads
+    nor marks a length-n mask.  An array read, or a run past the cap, marks
+    a length-n bool mask, and the ledger stays a mask from then on.
+    Recording is lock-protected so concurrent bucketing calls stay
+    consistent.
 
     :meth:`session` returns a per-query view with its own ledger over the
     same buffer; its reads are also recorded in the ledger of the signal it
-    came from.  A read goes down that chain of ledgers, is sorted at most
-    once, by the first array ledger that wants it sorted, and the sorted
-    form is merged into every array ledger after it.
+    came from, and each ledger in that chain records a read on its own.
 
     :attr:`data` exposes the raw buffer for reference transforms and test
     oracles; it deliberately does not count, so dense ground-truth evaluation
@@ -323,9 +293,8 @@ class Signal:
         else:
             idx = np.asarray(index_array(indices), np.int64) & (n - 1)
         with self._lock:
-            distinct = None
             for ledger in self._ledgers:
-                distinct = ledger.add(idx, run, distinct)
+                ledger.add(idx, run)
         return self._values[idx]
 
     @property

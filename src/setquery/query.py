@@ -218,10 +218,8 @@ def set_query(
     support and values are arrays; each round's resolved coefficients are
     merged in as arrays.  The count is read from the ledger of
     ``x.session()``.  Each round reads its filter's window as one run of
-    indices (:class:`~setquery.core.IndexRun`); the ledger records it in
-    O(1) and counts its overlap with earlier rounds' runs over the smaller
-    side, so a query of up to ``LEDGER_RUN_CAP`` rounds neither sorts its
-    reads nor allocates a length-n ledger mask.  With probability at least
+    indices (:class:`~setquery.core.IndexRun`), which that ledger records
+    as :class:`~setquery.core.Signal` describes.  With probability at least
     9/10 over the internal randomness, its l2 error on the set is bounded by
     the query tolerance terms (the mass outside the set scaled by eps plus
     delta leakage).

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setquery.core import (
-    LEDGER_ARRAY_DIVISOR,
     LEDGER_RUN_CAP,
     IndexRun,
     Signal,
@@ -292,18 +291,20 @@ class TestSignal:
 class TestLedger:
     """A reader's count is the number of distinct ``i mod n`` it has read."""
 
-    N = 1024  # array ledgers hold at most N // LEDGER_ARRAY_DIVISOR = 16 indices
+    N = 1024
 
     @staticmethod
     def _check(readers, seen, n):
         for name, reader in readers.items():
             assert reader.samples_used == len(seen[name]), name
-            for ledger in reader._ledgers:  # the memory bound of an array ledger
-                assert ledger.read is None or ledger.read.size <= n // LEDGER_ARRAY_DIVISOR
+            for ledger in reader._ledgers:  # the memory bound of either ledger state
+                assert (ledger.runs is None) != (ledger.mask is None)
+                assert ledger.runs is None or len(ledger.runs) <= LEDGER_RUN_CAP
+                assert ledger.mask is None or ledger.mask.size == n
 
     @pytest.mark.parametrize("seed", range(6))
     def test_count_after_every_read(self, seed):
-        # duplicates, negative indices, indices >= n, and counts crossing n/64;
+        # duplicates, negative indices, indices >= n, and counts past 16;
         # the indices come from a pool of 24 residues, so reads overlap often
         n, gen = self.N, np.random.default_rng(seed)
         pool = gen.choice(n, size=24, replace=False)
@@ -320,7 +321,7 @@ class TestLedger:
             for charged in parents[name]:
                 seen[charged] |= {int(i) % n for i in idx}
             self._check(readers, seen, n)
-        assert len(seen["x"]) > n // LEDGER_ARRAY_DIVISOR  # the sequence crossed n/64
+        assert len(seen["x"]) > 16 and x._ledgers[0].mask is not None  # arrays mark a mask
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.booleans(), st.lists(st.integers(-3000, 3000), max_size=30)),
@@ -369,7 +370,7 @@ def _residues(read, n):
 class TestRunLedger:
     """Runs and index arrays mixed: every count stays ``len(set(i mod n))``."""
 
-    N = 256  # array ledgers hold at most N // LEDGER_ARRAY_DIVISOR = 4 indices
+    N = 256
 
     def _replay(self, reads):
         n = self.N
@@ -408,8 +409,7 @@ class TestRunLedger:
         assert len(reads) == LEDGER_RUN_CAP
         readers = self._replay([("first", r) for r in reads])
         for ledger in readers["first"]._ledgers:
-            assert ledger.runs is not None and ledger.mask is None
-            assert ledger.read.size == 0  # nothing sorted, nothing marked
+            assert ledger.runs is not None and ledger.mask is None  # nothing marked
         readers = self._replay([("first", r) for r in reads] + [("first", IndexRun(2, 1, 3))])
         assert all(ledger.runs is None for ledger in readers["first"]._ledgers)  # past the cap
 

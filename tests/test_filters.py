@@ -208,8 +208,7 @@ class TestCacheFile:
             load_filter(path)
 
     def test_rejects_duplicated_offset(self, tmp_path, filter_cache):
-        # a second tap at offset 0 leaves a last-write-wins dense copy
-        # unchanged but doubles the tap the bucketing applies
+        # taps at one offset add up, so a second copy of the centre tap doubles it
         fp = filter_cache.get(256, 32, 1e-2, 0.25)
         path = tmp_path / "dup.fil"
         save_filter(fp, path)
@@ -228,6 +227,19 @@ class TestCacheFile:
         assert np.array_equal(got.offsets, fp.offsets)
         assert np.array_equal(got.taps, fp.taps)
         assert got.leakage == fp.leakage
+
+    def test_split_tap_loads_as_the_original(self, tmp_path, filter_cache):
+        # the centre tap as two halves, the second at the end of the file
+        fp = filter_cache.get(1024, 32, 1e-3, 0.25)
+        pairs = np.column_stack((fp.offsets, fp.taps)).astype("<f8")
+        centre = int(np.flatnonzero(fp.offsets == 0)[0])
+        pairs[centre, 1] /= 2
+        header = np.array([fp.n, fp.buckets, fp.delta, fp.alpha], dtype="<f8")
+        path = tmp_path / "split.fil"
+        path.write_bytes(b"SQFL" + header.tobytes() + pairs.tobytes() + pairs[centre].tobytes())
+        got = load_filter(path)
+        assert np.array_equal(got.offsets, fp.offsets)
+        assert np.array_equal(got.taps, fp.taps)
 
     def test_rejects_gapped_offsets(self, tmp_path, filter_cache):
         # the second tap is in the window's tail, so without it the window
