@@ -27,8 +27,8 @@ one :class:`~setquery.core.IndexRun`, so the read's indices are one arange
 reduced mod n in place, and the ledger records the run in O(1) rather than
 per tap), gathers one sample and scales it by the tap; the phases cost one
 :func:`~setquery.permutation.twiddle` call of ceil(L/B) + O(sqrt B)
-exponents (ceil(L/B) + B for a small B), laid out once per filter by
-:attr:`~setquery.filters.FilterPair.fold`.
+exponents (ceil(L/B) + B for a small B), laid out once per window shape
+(first offset, tap count, B) by :func:`_fold_layout`.
 
 The running estimate zhat is subtracted exactly, with the same phase: each
 support coordinate of zhat contributes to at most one bin, since the
@@ -37,9 +37,11 @@ idealized response vanishes at and beyond half a bucket width.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .core import Signal, SparseSpectrum, fft_raw
+from .core import IndexRun, Signal, SparseSpectrum, fft_raw
 from .filters import FilterPair
 from .permutation import (
     PermutationParams,
@@ -51,6 +53,10 @@ from .permutation import (
 )
 
 __all__ = ["hash_to_bins"]
+
+# Largest B whose column phase a draw computes one value per column: there a
+# B-entry twiddle costs less than two progressions' broadcasts.
+COLUMN_PHASE_DIRECT_MAX = 256
 
 
 def hash_to_bins(
@@ -71,11 +77,12 @@ def hash_to_bins(
         raise ValueError(f"permutation built for n={p.n}, signal has n={n}")
     if z is not None and z.n != n:
         raise ValueError(f"estimate has n={z.n}, signal has n={n}")
-    B, fold = fp.buckets, fp.fold
+    B, t = fp.buckets, fp.offsets
+    run, rows, width, exponents = _fold_layout(int(t[0]) if t.size else 0, t.size, B)
 
-    phase = twiddle(n, ((p.sigma * p.b) & (n - 1)) * fold.exponents)
-    v = _contract_rows(x, p, fp, phase[: fold.rows])
-    _times_column_phase(v, phase[fold.rows :], fold.width)
+    phase = twiddle(n, ((p.sigma * p.b) & (n - 1)) * exponents)
+    v = _contract_rows(x, p, fp, run, phase[:rows])
+    _times_column_phase(v, phase[rows:], width)
     u_hat = fft_raw(v, inverse=False, out=v)  # in place: one length-B buffer
 
     if z is not None and len(z) > 0:
@@ -85,16 +92,40 @@ def hash_to_bins(
     return u_hat
 
 
-def _contract_rows(x: Signal, p: PermutationParams, fp: FilterPair, row_phase) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _fold_layout(t0: int, size: int, B: int) -> tuple[IndexRun, int, int, np.ndarray]:
+    """(run, rows, width, exponents) of a window of ``size`` taps from offset t0.
+
+    ``run`` is the offsets as one :class:`~setquery.core.IndexRun`, cut into
+    ``rows`` rows at multiples of B.  ``exponents`` are every exponent a
+    draw's phase needs, for one :func:`~setquery.permutation.twiddle` call:
+    the row starts, then column j's for B up to ``COLUMN_PHASE_DIRECT_MAX``
+    (``width`` = B), else the two progressions hi*width and lo < width with
+    j = hi*width + lo, so no length-B array is made for a large B.
+    """
+    first = t0 % B
+    if B <= COLUMN_PHASE_DIRECT_MAX:
+        width, columns = B, [np.arange(B)]
+    else:
+        width = 1 << (B.bit_length() // 2)
+        columns = [np.arange(0, B, width), np.arange(width)]
+    exponents = np.concatenate([np.arange(t0 - first, t0 + size, B), *columns])
+    exponents.flags.writeable = False  # shared by every window of this shape
+    return IndexRun(t0, 1, size), -(-(first + size) // B), width, exponents
+
+
+def _contract_rows(x: Signal, p: PermutationParams, fp: FilterPair, run: IndexRun,
+                   row_phase) -> np.ndarray:
     """The window read under (sigma, a, 0), times the taps, summed over rows by phase.
 
-    Rows are cut at multiples of B (:class:`~setquery.filters.FoldLayout`):
-    a partial first row from column ``first_column``, whole rows contracted
-    by one ``np.dot``, a short last row.  The read buffer is dropped on
-    return, so at B = n no more than two length-n buffers are alive at once.
+    Rows are cut at multiples of B (:func:`_fold_layout`): a partial first
+    row from column t0 mod B, whole rows contracted by one ``np.dot``, a
+    short last row.  The read buffer is dropped on return, so at B = n no
+    more than two length-n buffers are alive at once.
     """
-    B, first = fp.buckets, fp.fold.first_column
-    y = permute_time_many(x, PermutationParams(p.sigma, p.a, 0, p.n), fp.run)
+    B = fp.buckets
+    first = run.start % B
+    y = permute_time_many(x, PermutationParams(p.sigma, p.a, 0, p.n), run)
     y *= fp.taps
     head = min(-first % B, y.size)  # taps before the first multiple of B
     full = (y.size - head) // B

@@ -425,8 +425,7 @@ def fft_raw(x, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarr
     """
     v = np.asarray(x, dtype=np.complex128)
     require_power_of_two(v.shape[0])
-    kw = {} if out is None else {"out": out}  # numpy < 2.0 has no out=
-    return np.fft.ifft(v, norm="forward", **kw) if inverse else np.fft.fft(v, **kw)
+    return np.fft.ifft(v, norm="forward", out=out) if inverse else np.fft.fft(v, out=out)
 
 
 def fft(x) -> np.ndarray:

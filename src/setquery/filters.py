@@ -29,16 +29,14 @@ The bound published on the support is ``c_f * B * log(n/delta) / alpha``
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc, erfcinv
 
-from .core import IndexRun, fft_raw, require_integral, require_power_of_two
+from .core import fft_raw, require_integral, require_power_of_two
 
 __all__ = [
     "FilterPair",
@@ -52,9 +50,6 @@ __all__ = [
 # Support cap multiplier in units of B*log(n/delta)/alpha; generous relative
 # to the ~1.2 the Gaussian construction needs, so organic builds never hit it.
 SUPPORT_BUDGET_CONST = 4.0
-# Largest B whose column phase a draw computes one value per column: there a
-# B-entry twiddle costs less than two progressions' broadcasts.
-COLUMN_PHASE_DIRECT_MAX = 256
 
 
 class FilterBuildError(RuntimeError):
@@ -105,29 +100,6 @@ def _check_params(n, buckets, delta, alpha) -> tuple[int, int]:
     return n, B
 
 
-class FoldLayout(NamedTuple):
-    """A filter's taps laid out for the fold of :func:`~setquery.bins.hash_to_bins`.
-
-    The offsets form one run t0, t0+1, ..., t0+L-1, and the fold cuts it at
-    multiples of B: tap t sits in column j = t mod B of a row starting at
-    t - j, the first row from column ``first_column`` = t0 mod B, the last
-    possibly short.  Column j sums bin j's taps, so the B-point FFT needs no
-    shift, and a draw's phase omega**(c*t) is a row phase
-    omega**(c*(t - j)) times a column phase omega**(c*j).  ``exponents``
-    holds every exponent a draw needs, so one
-    :func:`~setquery.permutation.twiddle` call gives them all: the ``rows``
-    row starts, then the column exponents: j itself for B up to
-    ``COLUMN_PHASE_DIRECT_MAX``, else the two progressions hi*width
-    (hi < B/width) and lo (lo < width), with j = hi*width + lo, so no
-    length-B exponent or phase array is made for a large B.
-    """
-
-    rows: int  # ceil((first_column + L) / B)
-    first_column: int
-    width: int  # B, or 2**ceil(log2(B) / 2) above COLUMN_PHASE_DIRECT_MAX
-    exponents: np.ndarray
-
-
 @dataclass(frozen=True)
 class FilterPair:
     """Time-sparse window plus its evaluable idealized frequency response.
@@ -135,9 +107,9 @@ class FilterPair:
     ``offsets`` are one run of consecutive signed time indices, ascending
     (a built window's are [-R, R], [-R, R+1] or all n), and ``taps`` the real
     window values there; the window is zero elsewhere.  The fold of
-    :func:`~setquery.bins.hash_to_bins` relies on the run, through
-    :attr:`fold`.  ``leakage`` is the measured
-    ``max_i |DFT(G)_i - response(i)|`` over all n frequencies, NaN until then.
+    :func:`~setquery.bins.hash_to_bins` relies on the run.  ``leakage`` is the
+    measured ``max_i |DFT(G)_i - response(i)|`` over all n frequencies, NaN
+    until then.
     """
 
     n: int
@@ -149,8 +121,7 @@ class FilterPair:
     leakage: float = float("nan")
 
     def __post_init__(self) -> None:
-        t = self.offsets
-        if not (np.diff(t) == 1).all():
+        if not (np.diff(self.offsets) == 1).all():
             raise ValueError("a filter's offsets must form one run of consecutive integers")
 
     @property
@@ -163,25 +134,6 @@ class FilterPair:
         return float(
             self.support_size * self.alpha / (self.buckets * np.log(self.n / self.delta))
         )
-
-    @functools.cached_property
-    def run(self) -> IndexRun:
-        """``offsets`` as one :class:`~setquery.core.IndexRun`, the read a ledger records in O(1)."""
-        return IndexRun(self.offsets[0] if self.offsets.size else 0, 1, self.offsets.size)
-
-    @functools.cached_property
-    def fold(self) -> FoldLayout:
-        """How :func:`~setquery.bins.hash_to_bins` folds the taps; derived once."""
-        B, t = self.buckets, self.offsets
-        t0 = int(t[0]) if t.size else 0
-        first, rows = t0 % B, -(-(t0 % B + t.size) // B)
-        if B <= COLUMN_PHASE_DIRECT_MAX:
-            width, columns = B, [np.arange(B)]
-        else:
-            width = 1 << (B.bit_length() // 2)
-            columns = [np.arange(0, B, width), np.arange(width)]
-        exponents = np.concatenate([np.arange(t0 - first, t0 + t.size, B), *columns])
-        return FoldLayout(rows, first, width, exponents)
 
     @property
     def flat_radius(self) -> float:

@@ -12,11 +12,13 @@ guarantee.
 The per-round parameters follow a geometric schedule
 
     k_i = k * gamma**(i-1)
-    eps_i = min(eps * (10*gamma)**i, eps)
+    eps_i = eps * min(10*gamma, 1)**i
     alpha_i = 1 / (alpha_const * i**3)
     B_i = next power of two >= const_c * k_i / (alpha_i**2 * eps_i), clamped to n
 
-with R = max(1, ceil(log_{1/gamma} k)) rounds.  The theoretical constants
+for at most R = max(1, ceil(log_{1/gamma} k)) rounds.  The schedule ends at
+its first round with B_i = n: width-1 buckets isolate every member at offset
+0, so that round resolves all that are left.  The theoretical constants
 (gamma=1/1000, const_c=1000, alpha_const=200) make B_1 exceed any desk-scale
 n, in which case B clamps to n and bucketing degenerates to width-1 buckets:
 still correct, just not sublinear; clamped rounds are flagged in the report.
@@ -27,8 +29,8 @@ takes B_i = n and is flagged clamped: with so narrow a flat region only
 offset-0 frequencies resolve, while the window already spans all n taps.
 
 eps_i is clamped at eps so configurations with gamma > 1/10, where the
-nominal eps * (10*gamma)**i would grow, stay within the requested accuracy
-budget instead of being rejected.
+nominal eps * (10*gamma)**i would grow (and overflow as gamma nears 1), stay
+within the requested accuracy budget instead of being rejected.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def compute_schedule(
     rows = []
     for i in range(1, rounds + 1):
         k_i = k * gamma ** (i - 1)
-        eps_i = min(eps * (10.0 * gamma) ** i, eps)
+        eps_i = eps * min(10.0 * gamma, 1.0) ** i
         alpha_i = 1.0 / (alpha_const * i**3)
         denom = alpha_i**2 * eps_i  # underflows to 0 for a subnormal eps or tiny alpha
         b_raw = const_c * k_i / denom if denom > 0.0 else math.inf
@@ -137,7 +139,9 @@ def compute_schedule(
                 clamped=b_raw > n or narrow,
             )
         )
-    return Schedule(rounds=rounds, rows=tuple(rows))
+        if rows[-1].buckets == n:  # resolves every member still active
+            break
+    return Schedule(rounds=len(rows), rows=tuple(rows))
 
 
 def estimate_values(

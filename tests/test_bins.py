@@ -178,13 +178,16 @@ def run_filter(name, tmp_path, rng):
         return build_filter(1024, 32, 1e-3, 0.25)
     if name == "B=n":
         return build_filter(1024, 1024, 1e-3, 0.005)
+    if name in ("B=256", "B=512"):  # either side of the direct column phase's cutoff
+        return build_filter(1 << 14, int(name[2:]), 1e-3, 0.25)
     save_filter(build_filter(2048, 64, 1e-2, 0.25), tmp_path / "w.fil")
     return load_filter(tmp_path / "w.fil")
 
 
 class TestFold:
     @pytest.mark.parametrize("name", ["L<B", "inside one row", "head, whole rows, no tail",
-                                      "L=4B", "L%B>0, t0>0", "built", "B=n", "loaded"])
+                                      "L=4B", "L%B>0, t0>0", "built", "B=n", "loaded",
+                                      "B=256", "B=512"])
     def test_matches_per_tap_bins(self, name, tmp_path, rng):
         fp = run_filter(name, tmp_path, rng)
         n, L, B = fp.n, fp.support_size, fp.buckets

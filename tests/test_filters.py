@@ -20,6 +20,8 @@ from setquery.filters import (
 from setquery.query import compute_schedule
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+# the accuracy profile's alpha_2 = 1/(200 * 2**3) at n = B = 2**14
+DENSE_ROUND_TWO = (1 << 14, 1 << 14, 1e-3, 0.000625)
 
 
 def load_perfbench_workloads():
@@ -148,9 +150,10 @@ class TestMeasuredSpectrum:
         assert fp.support_constant <= 4.0
 
     def test_offsets_form_one_run(self, filter_cache):
-        # every filter the benchmark's schedules build, and one with an even
-        # tap count: the kept taps are a prefix of 0, +1, -1, +2, -2, ...
-        keys = [(1 << 16, 64, 1e-3, 0.25), *benchmark_filter_keys()]
+        # every filter the benchmark's schedules build, one with an even tap
+        # count and dense-warm's round 2, which its B = n round 1 leaves
+        # unscheduled: the kept taps are a prefix of 0, +1, -1, +2, -2, ...
+        keys = [(1 << 16, 64, 1e-3, 0.25), *benchmark_filter_keys(), DENSE_ROUND_TWO]
         assert len(keys) == 7
         for key in keys:
             fp = filter_cache.get(*key)
@@ -161,7 +164,8 @@ class TestMeasuredSpectrum:
     def test_leakage_is_measured_against_the_public_response(self, filter_cache):
         # the build checks against its own clamped target, which must be
         # response(arange(n)) bit for bit
-        keys = [(1 << 16, 64, 1e-3, 0.25), *benchmark_filter_keys(), (256, 256, 1e-3, 0.02)]
+        keys = [(1 << 16, 64, 1e-3, 0.25), *benchmark_filter_keys(), DENSE_ROUND_TWO,
+                (256, 256, 1e-3, 0.02)]
         assert len(keys) == 8
         for key in keys:
             fp = filter_cache.get(*key)

@@ -250,6 +250,15 @@ class TestCli:
         record = json.loads(capsys.readouterr().out.split("\n")[0])
         assert record["clamped"] and record["iterations"][0]["buckets"] == 4096
 
+    def test_gamma_near_one_runs(self, capsys):
+        # (10*gamma)**i would overflow near round 309 of the 2,079 rounds
+        # that log_{1/gamma} k allows; the schedule ends at its B = n row
+        args = ["query", "--n", "4096", "--k", "8", "--gamma", "0.999", "--trials", "1",
+                "--no-timing"]
+        assert main(args) == 0
+        record = json.loads(capsys.readouterr().out.split("\n")[0])
+        assert [it["buckets"] for it in record["iterations"]] == [4096]
+
     def test_filter_build_failure_exits_1(self, capsys):
         sampling = ["--n", "16384", "--gamma", "0.0625", "--const-c", "1",
                     "--alpha-const", "1.25", "--no-timing"]

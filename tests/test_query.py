@@ -26,7 +26,8 @@ class FixedRng:
 
 class TestSchedule:
     def test_geometric_k_sequence(self):
-        s = compute_schedule(k=8, eps=0.5, delta=1e-3, n=4096, gamma=0.5, const_c=4.0)
+        # n = 2**30, so no row before the last reaches B = n
+        s = compute_schedule(k=8, eps=0.5, delta=1e-3, n=1 << 30, gamma=0.5, const_c=4.0)
         assert s.rounds == 3
         assert [r.k_target for r in s.rows] == [8.0, 4.0, 2.0]
 
@@ -56,6 +57,16 @@ class TestSchedule:
                              const_c=1.0, alpha_const=1.25)
         assert [(r.buckets, r.clamped) for r in s.rows] == [(16, False), (1024, True)]
         assert s.rows[1].buckets_raw == pytest.approx(400.0)
+
+    @pytest.mark.parametrize("gamma", [0.999, 1 - 1e-12])
+    def test_ends_at_its_first_row_with_every_bucket(self, gamma):
+        # a B = n row resolves every active member, so no row follows it;
+        # log_{1/gamma} 8 allows 2,079 rows at gamma = 0.999, 2e12 at 1 - 1e-12
+        for n in (1 << 10, 1 << 20, 1 << 40):
+            s = compute_schedule(k=8, eps=0.5, delta=1e-3, n=n, gamma=gamma,
+                                 const_c=1.0, alpha_const=1.25)
+            assert [r.buckets == n for r in s.rows] == [False] * (s.rounds - 1) + [True]
+            assert s.rounds == len(s.rows) <= 48
 
     def test_eps_capped_for_large_gamma(self):
         # gamma=1/4 would nominally give eps_1 = 1.25; the cap holds it at eps
