@@ -18,8 +18,8 @@ calibration test at n=64.
 The shift b enters only the phase omega**(c*t), c = sigma*b mod n, never the
 indices read.  So the window is read once through the b-free draw
 (sigma, a, 0), and the phase is paid after the taps are folded: the filter's
-offsets form one run, cut into rows at multiples of B, so tap t = r + j in
-the row starting at r (a multiple of B) belongs to bin column j, and
+window is one run of taps, cut into rows at multiples of B, so tap t = r + j
+in the row starting at r (a multiple of B) belongs to bin column j, and
 omega**(c*t) is a row phase omega**(c*r) times a column phase omega**(c*j).
 The fold is one contraction of the rows with their row phases; the column
 phase acts on B values.  Per tap the call computes one index (the window is
@@ -77,8 +77,8 @@ def hash_to_bins(
         raise ValueError(f"permutation built for n={p.n}, signal has n={n}")
     if z is not None and z.n != n:
         raise ValueError(f"estimate has n={z.n}, signal has n={n}")
-    B, t = fp.buckets, fp.offsets
-    run, rows, width, exponents = _fold_layout(int(t[0]) if t.size else 0, t.size, B)
+    B = fp.buckets
+    run, rows, width, exponents = _fold_layout(fp.start, fp.support_size, B)
 
     phase = twiddle(n, ((p.sigma * p.b) & (n - 1)) * exponents)
     v = _contract_rows(x, p, fp, run, phase[:rows])
@@ -96,7 +96,7 @@ def hash_to_bins(
 def _fold_layout(t0: int, size: int, B: int) -> tuple[IndexRun, int, int, np.ndarray]:
     """(run, rows, width, exponents) of a window of ``size`` taps from offset t0.
 
-    ``run`` is the offsets as one :class:`~setquery.core.IndexRun`, cut into
+    ``run`` is the window as one :class:`~setquery.core.IndexRun`, cut into
     ``rows`` rows at multiples of B.  ``exponents`` are every exponent a
     draw's phase needs, for one :func:`~setquery.permutation.twiddle` call:
     the row starts, then column j's for B up to ``COLUMN_PHASE_DIRECT_MAX``

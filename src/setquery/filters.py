@@ -9,13 +9,13 @@ Gaussian whose standard deviation is sized so that the smoothed box is within
 unitary FFT of that target (a periodic-sinc times a Gaussian), truncated to
 the shortest prefix of the offset order 0, +1, -1, +2, -2, ... whose
 discarded l1 mass keeps the worst-case frequency deviation under
-``delta/2``, so the kept offsets are [-R, R], [-R, R+1] or all n.  Total
-worst-case deviation between the built window's spectrum and the idealized
-clamped response is therefore under ``delta``, and is re-measured exactly,
-at every one of the n frequencies, by an n-point FFT before a filter is ever
-returned: a window that deviates by more than ``delta`` raises instead of
-leaking out.  Built and loaded filters go through the same construction and
-check.
+``delta/2``.  Such a prefix is one run, [-R, R], [-R, R+1] or all n, so a
+window is its first offset and its taps.  Total worst-case deviation
+between the built window's spectrum and the idealized clamped response is
+therefore under ``delta``, and is re-measured exactly, at every one of the n
+frequencies, by an n-point FFT before a filter is ever returned: a window
+that deviates by more than ``delta`` raises instead of leaking out.  Built
+and loaded filters go through the same check against the same ideal.
 
 The idealized response ``response(i)`` is exactly 1 on the flat region,
 exactly 0 at and beyond ``n/(2B)``, and the clamped smoothed-box value in the
@@ -29,6 +29,7 @@ The bound published on the support is ``c_f * B * log(n/delta) / alpha``
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -58,11 +59,6 @@ class FilterBuildError(RuntimeError):
     def __init__(self, message: str, achieved_leakage: float | None = None):
         super().__init__(message)
         self.achieved_leakage = achieved_leakage
-
-
-def _signed_offset(i, n: int):
-    """Representative of ``i mod n`` in ``[-n/2, n/2)``."""
-    return ((i + n // 2) % n) - n // 2
 
 
 def _smoothed_box(d, box_radius: float, sigma_f: float):
@@ -104,29 +100,35 @@ def _check_params(n, buckets, delta, alpha) -> tuple[int, int]:
 class FilterPair:
     """Time-sparse window plus its evaluable idealized frequency response.
 
-    ``offsets`` are one run of consecutive signed time indices, ascending
-    (a built window's are [-R, R], [-R, R+1] or all n), and ``taps`` the real
-    window values there; the window is zero elsewhere.  The fold of
-    :func:`~setquery.bins.hash_to_bins` relies on the run.  ``leakage`` is the
-    measured ``max_i |DFT(G)_i - response(i)|`` over all n frequencies, NaN
-    until then.
+    The window is one run: ``taps`` are its real values at the signed time
+    indices ``start``, ``start + 1``, ... (a built window's are [-R, R],
+    [-R, R+1] or all n), zero elsewhere, and :func:`~setquery.bins.hash_to_bins`
+    folds it from ``start`` and the tap count.  ``leakage`` is the measured
+    ``max_i |DFT(G)_i - response(i)|`` over all n frequencies, NaN until then.
+    Construction checks (n, B, delta, alpha); n, B and ``start`` are ints.
     """
 
     n: int
     buckets: int
     delta: float
     alpha: float
-    offsets: np.ndarray = field(repr=False)
+    start: int
     taps: np.ndarray = field(repr=False)
     leakage: float = float("nan")
 
     def __post_init__(self) -> None:
-        if not (np.diff(self.offsets) == 1).all():
-            raise ValueError("a filter's offsets must form one run of consecutive integers")
+        n, B = _check_params(self.n, self.buckets, self.delta, self.alpha)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "buckets", B)
+        object.__setattr__(self, "start", operator.index(self.start))
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return np.arange(self.start, self.start + self.support_size)
 
     @property
     def support_size(self) -> int:
-        return int(self.offsets.shape[0])
+        return int(self.taps.shape[0])
 
     @property
     def support_constant(self) -> float:
@@ -145,15 +147,12 @@ class FilterPair:
 
     def response(self, i):
         """Idealized response at frequency offset(s) ``i``, taken mod n."""
-        d = np.abs(_signed_offset(np.asarray(i), self.n)).astype(np.float64)
+        r = np.asarray(i) % self.n
+        d = np.minimum(r, self.n - r).astype(np.float64)  # distance from i to 0 mod n
         box = _smoothed_box(d, *_shape(self.n, self.buckets, self.delta, self.alpha))
-        out = self._clamp(box, d)
-        return float(out) if out.ndim == 0 else out
-
-    def _clamp(self, box, d):
-        """Response at ``d``: 1 on the flat region, 0 from n/(2B), clipped ``box`` between."""
         out = np.where(d <= self.flat_radius, 1.0, np.clip(box, 0.0, 1.0))
-        return np.where(d >= self.stop_radius, 0.0, out)
+        out = np.where(d >= self.stop_radius, 0.0, out)
+        return float(out) if out.ndim == 0 else out
 
     def window_dense(self) -> np.ndarray:
         """Dense length-n copy of the window (verification use).
@@ -163,15 +162,16 @@ class FilterPair:
         return np.bincount(self.offsets % self.n, weights=self.taps, minlength=self.n)
 
 
-def _verified_filter(fp: FilterPair, ideal: np.ndarray, source: str) -> FilterPair:
+def _verified_filter(fp: FilterPair, source: str) -> FilterPair:
     """Return ``fp`` with its leakage, checked at all n frequencies.
 
-    ``ideal`` is ``fp.response(np.arange(n))``; :class:`FilterBuildError` is
-    raised if the window's unitary spectrum deviates from it by more than
-    ``delta`` anywhere.  ``source`` names the window in the error message.
+    :class:`FilterBuildError` is raised if the window's unitary spectrum
+    deviates by more than ``delta`` anywhere from the ideal, ``fp.response``
+    at the radii 0..n/2 mirrored.  ``source`` names the window in the error.
     """
+    ideal = fp.response(np.arange(fp.n // 2 + 1))
     spectrum = fft_raw(fp.window_dense()) / np.sqrt(fp.n)
-    leakage = float(np.max(np.abs(spectrum - ideal)))
+    leakage = float(np.max(np.abs(spectrum - np.concatenate([ideal, ideal[-2:0:-1]]))))
     if leakage > fp.delta:
         raise FilterBuildError(
             f"{source} leaks {leakage:.3e} > delta={fp.delta} for "
@@ -184,25 +184,24 @@ def _verified_filter(fp: FilterPair, ideal: np.ndarray, source: str) -> FilterPa
 def build_filter(n: int, buckets: int, delta: float, alpha: float) -> FilterPair:
     """Construct and verify a flat-window filter for (n, B, delta, alpha).
 
-    Raises :class:`FilterBuildError` if the required support exceeds the
-    budget ``SUPPORT_BUDGET_CONST * B * log(n/delta) / alpha`` or if the
-    measured leakage ends up above ``delta``.
+    The kept prefix of L taps is the run from ``-(L-1)//2``, or from -n/2
+    when L = n.  Raises :class:`FilterBuildError` if the required support
+    exceeds the budget ``SUPPORT_BUDGET_CONST * B * log(n/delta) / alpha`` or
+    if the measured leakage ends up above ``delta``.
     """
     n, B = _check_params(n, buckets, delta, alpha)
-    signed = _signed_offset(np.arange(n), n)
-    radius = np.abs(signed)
-    # the target is even: the smoothed box is evaluated once per radius
-    target = _smoothed_box(np.arange(n // 2 + 1.0), *_shape(n, B, delta, alpha))[radius]
-    g_full = fft_raw(target, inverse=True).real / np.sqrt(n)
+    half = n // 2  # the target is even: the smoothed box is evaluated once per radius
+    box = _smoothed_box(np.arange(half + 1.0), *_shape(n, B, delta, alpha))
+    g_full = fft_raw(np.concatenate([box, box[-2:0:-1]]), inverse=True).real / np.sqrt(n)
 
-    order = np.argsort(radius, kind="stable")  # offsets 0, +1, -1, +2, -2, ...
     # l1 mass strictly outside each candidate radius bounds the truncation's
     # worst-case frequency deviation after the 1/sqrt(n) unitary scale.  The
     # target is a small fraction of delta so the measured deviation stays
     # dominated by the transition-band clamp; in the dense regime (wide
     # Gaussian, bucket width near 1) this keeps the window numerically exact
     # instead of charging the full delta budget for a handful of shaved taps.
-    mags = np.abs(g_full[order])
+    mags, a = np.empty(n), np.abs(g_full)  # offset +r at 2r - 1 (-n/2 is +n/2), -r at 2r
+    mags[0], mags[1::2], mags[2::2] = a[0], a[1 : half + 1], a[:half:-1]
     tail_after = np.concatenate([np.cumsum(mags[::-1])[::-1][1:], [0.0]])
     ok = tail_after / np.sqrt(n) <= delta / 50.0
     cut = int(np.argmax(ok))  # smallest prefix of the radius ordering that works
@@ -219,11 +218,10 @@ def build_filter(n: int, buckets: int, delta: float, alpha: float) -> FilterPair
             achieved_leakage=achieved,
         )
 
-    keep = order[:needed]
-    keep = keep[np.argsort(signed[keep])]
-    offsets, taps = signed[keep].astype(np.int64), g_full[keep].astype(np.float64)
-    fp = FilterPair(n, B, float(delta), float(alpha), offsets, taps)
-    return _verified_filter(fp, fp._clamp(target, radius), "constructed window")
+    start = -half if needed == n else -((needed - 1) // 2)
+    taps = g_full[np.arange(start, start + needed)]  # a negative offset indexes from the end
+    fp = FilterPair(n, B, float(delta), float(alpha), start, taps)
+    return _verified_filter(fp, "constructed window")
 
 
 _MAGIC = b"SQFL"
@@ -266,9 +264,11 @@ def load_filter(path) -> FilterPair:
     if not np.all((offsets == np.floor(offsets)) & (-n <= offsets) & (offsets < n)):
         raise ValueError(f"{path} has an offset that is not an integer in [-{n}, {n})")
     offsets, where = np.unique(offsets, return_inverse=True)
-    offsets, taps = offsets.astype(np.int64), np.bincount(where, weights=taps)
-    fp = FilterPair(n, B, float(delta), float(alpha), offsets, taps)
-    return _verified_filter(fp, fp.response(np.arange(n)), f"cached filter at {path}")
+    start = int(offsets[0]) if offsets.size else 0
+    if not np.array_equal(offsets, np.arange(start, start + offsets.size)):
+        raise ValueError(f"{path}'s offsets do not form one run of consecutive integers")
+    fp = FilterPair(n, B, float(delta), float(alpha), start, np.bincount(where, weights=taps))
+    return _verified_filter(fp, f"cached filter at {path}")
 
 
 class FilterCache:

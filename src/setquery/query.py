@@ -105,6 +105,8 @@ def compute_schedule(
     :class:`Schedule` object.
     """
     require_power_of_two(n)
+    if n < 2:  # no filter has fewer than 2 buckets, and B divides n
+        raise ValueError(f"n must be >= 2, got {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0.0 < eps < 1.0:

@@ -161,19 +161,19 @@ class TestContract:
 
 def run_filter(name, tmp_path, rng):
     """A filter whose L taps stand in one of the ways the fold lays them out."""
-    def hand_built(n, B, offsets):
-        return FilterPair(n, B, 1e-3, 0.25, offsets, rng.standard_normal(offsets.size))
+    def hand_built(n, B, start, stop):
+        return FilterPair(n, B, 1e-3, 0.25, start, rng.standard_normal(stop - start))
 
     if name == "L<B":
-        return hand_built(1024, 64, np.arange(-20, 17))
+        return hand_built(1024, 64, -20, 17)
     if name == "inside one row":
-        return hand_built(1024, 64, np.arange(3, 20))
+        return hand_built(1024, 64, 3, 20)
     if name == "head, whole rows, no tail":
-        return hand_built(1024, 32, np.arange(-10, 64))
+        return hand_built(1024, 32, -10, 64)
     if name == "L=4B":
-        return hand_built(1024, 32, np.arange(-64, 64))
+        return hand_built(1024, 32, -64, 64)
     if name == "L%B>0, t0>0":
-        return hand_built(1024, 32, np.arange(5, 105))
+        return hand_built(1024, 32, 5, 105)
     if name == "built":
         return build_filter(1024, 32, 1e-3, 0.25)
     if name == "B=n":
@@ -201,6 +201,17 @@ class TestFold:
                 want = per_tap_bins(x, estimate, p, fp)
                 got = hash_to_bins(x, estimate, p, fp)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_numpy_integer_fields_fold_as_built(self, rng, filter_cache):
+        # B = 512 takes the two-progression column phase, which reads B.bit_length()
+        fp = filter_cache.get(1 << 14, 512, 1e-3, 0.25)
+        hand = FilterPair(np.int64(fp.n), np.int64(512), fp.delta, fp.alpha,
+                          np.int64(fp.start), fp.taps)
+        assert (type(hand.n), type(hand.buckets), type(hand.start)) == (int, int, int)
+        x = Signal(complex_vector(rng, fp.n))
+        for _ in range(3):
+            p = random_params(rng, fp.n)
+            assert np.array_equal(hash_to_bins(x, None, p, hand), hash_to_bins(x, None, p, fp))
 
     def test_a_draw_shifted_in_b_reads_the_same_indices(self, rng, filter_cache, monkeypatch):
         fp = filter_cache.get(4096, 64, 0.2, 0.8)

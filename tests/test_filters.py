@@ -45,6 +45,20 @@ def benchmark_filter_keys():
     return keys
 
 
+def sorted_radius_window(n, B, delta, alpha):
+    """(start, taps) of the window kept by sorting all n offsets by radius."""
+    signed = (np.arange(n) + n // 2) % n - n // 2
+    radius = np.abs(signed)
+    box = filters._smoothed_box(np.arange(n // 2 + 1.0), *filters._shape(n, B, delta, alpha))
+    g = fft_raw(box[radius], inverse=True).real / np.sqrt(n)
+    order = np.argsort(radius, kind="stable")  # offsets 0, +1, -1, +2, -2, ...
+    mags = np.abs(g[order])
+    tail_after = np.concatenate([np.cumsum(mags[::-1])[::-1][1:], [0.0]])
+    keep = order[: int(np.argmax(tail_after / np.sqrt(n) <= delta / 50.0)) + 1]
+    keep = keep[np.argsort(signed[keep])]
+    return int(signed[keep[0]]), g[keep]
+
+
 class TestBuildValidation:
     def test_rejects_non_dividing_buckets(self):
         with pytest.raises(ValueError):
@@ -66,11 +80,11 @@ class TestBuildValidation:
         with pytest.raises(FilterBuildError, match="leaks"):
             build_filter(1024, 32, 1e-320, 0.25)
 
-    def test_offsets_must_form_one_run(self):
-        # the fold of hash_to_bins places tap i at offsets[0] + i
-        for offsets in ([-2, -1, 1, 2], [0, 2, 1, 3], [0, 0, 2]):
-            with pytest.raises(ValueError, match="one run"):
-                filters.FilterPair(256, 32, 1e-3, 0.25, np.array(offsets), np.ones(len(offsets)))
+    @pytest.mark.parametrize("buckets, delta, alpha", [(33, 1e-3, 0.25), (512, 2.0, 0.25),
+                                                       (512, 1e-3, 0.0)])
+    def test_filter_pair_checks_its_parameters(self, buckets, delta, alpha):
+        with pytest.raises(ValueError):
+            filters.FilterPair(16384, buckets, delta, alpha, -2, np.ones(5))
 
     def test_budget_failure_reports_leakage(self, monkeypatch):
         monkeypatch.setattr(filters, "SUPPORT_BUDGET_CONST", 0.02)
@@ -141,7 +155,7 @@ class TestMeasuredSpectrum:
         finally:
             tracemalloc.stop()
         assert fp.leakage <= fp.delta
-        assert peak <= 256 * n
+        assert peak <= 96 * n
 
     def test_support_within_budget(self, filter_cache):
         fp = filter_cache.get(1024, 32, 1e-3, 0.25)
@@ -162,7 +176,7 @@ class TestMeasuredSpectrum:
             assert fp.support_size in (2 * R + 1, 2 * R + 2, fp.n), key
 
     def test_leakage_is_measured_against_the_public_response(self, filter_cache):
-        # the build checks against its own clamped target, which must be
+        # the check mirrors response at the radii 0..n/2, which must be
         # response(arange(n)) bit for bit
         keys = [(1 << 16, 64, 1e-3, 0.25), *benchmark_filter_keys(), DENSE_ROUND_TWO,
                 (256, 256, 1e-3, 0.02)]
@@ -171,6 +185,24 @@ class TestMeasuredSpectrum:
             fp = filter_cache.get(*key)
             spectrum = fft_raw(fp.window_dense()) / np.sqrt(fp.n)
             assert fp.leakage == np.max(np.abs(spectrum - fp.response(np.arange(fp.n)))), key
+
+    def test_window_is_the_sorted_radius_prefix(self, filter_cache):
+        # build_filter derives the run from the radii; the reference sorts all
+        # n offsets by radius, keeps the shortest prefix that passes the same
+        # tail test and sorts the kept offsets
+        keys = [(n, B, delta, alpha) for n in (1 << e for e in range(1, 11))
+                for B in (1 << b for b in range(1, n.bit_length()))
+                for delta, alpha in ((1e-3, 0.25), (0.2, 0.8))]
+        keys += [*benchmark_filter_keys(), DENSE_ROUND_TWO]
+        shapes = set()
+        for key in keys:
+            fp = filter_cache.get(*key)
+            start, taps = sorted_radius_window(*key)
+            assert fp.start == start and np.array_equal(fp.taps, taps), key
+            L, R = fp.support_size, -start
+            named = {fp.n: "all n", 2 * R + 1: "[-R, R]", 2 * R + 2: "[-R, R+1]"}
+            shapes.add(named[L])
+        assert shapes == {"[-R, R]", "[-R, R+1]", "all n"}
 
     def test_degenerate_full_bucket_count(self, filter_cache):
         # B = n: width-1 buckets; the window is flat and numerically exact

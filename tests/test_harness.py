@@ -250,6 +250,10 @@ class TestCli:
         record = json.loads(capsys.readouterr().out.split("\n")[0])
         assert record["clamped"] and record["iterations"][0]["buckets"] == 4096
 
+    def test_single_sample_signal_exits_2(self, capsys):
+        assert main(["query", "--n", "1", "--k", "1", "--trials", "1"]) == 2
+        assert "n must be >= 2, got 1" in capsys.readouterr().err
+
     def test_gamma_near_one_runs(self, capsys):
         # (10*gamma)**i would overflow near round 309 of the 2,079 rounds
         # that log_{1/gamma} k allows; the schedule ends at its B = n row

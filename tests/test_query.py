@@ -92,6 +92,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             compute_schedule(k=4, eps=0.5, delta=1e-3, n=1024, gamma=1.0)
 
+    def test_rejects_a_single_sample_signal(self):
+        # a row would need B = n = 1, and no filter has fewer than 2 buckets
+        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+            compute_schedule(k=1, eps=0.5, delta=0.1, n=1)
+
     def test_repeated_call_returns_the_same_schedule(self):
         kw = dict(k=8, eps=0.5, delta=0.2, n=1 << 18, gamma=1 / 16, const_c=1.0,
                   alpha_const=1.25)
@@ -354,6 +359,8 @@ class TestSetQuery:
             set_query(x, [0.6], eps=0.5, delta=1e-3, rng=rng, filters=filter_cache)
         with pytest.raises(ValueError):
             set_query(x, [1], eps=0.5, delta=2.0, rng=rng, filters=filter_cache)
+        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+            set_query(Signal(np.array([2j])), [0], eps=0.5, delta=0.1, rng=rng)
 
 
 class TestIterationStatistics:
